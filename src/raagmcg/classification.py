@@ -86,13 +86,13 @@ class ClassificationReport:
         }
 
 
-def classify(word: Word, realization: Realization, cap: int = DEFAULT_CAP) -> ClassificationReport:
+def classify(word: Word, realization: Realization) -> ClassificationReport:
     """Conjugacy-reduce the word, split its support along the complement
     graph, and report the Thurston type of each piece."""
     if word.graph != realization.graph:
         raise ValueError("word and realization use different defining graphs")
     canonical = normalize(word)
-    reduced, conjugator = cyclically_reduce(canonical, cap)
+    reduced, conjugator = cyclically_reduce(canonical)
     support = sorted(reduced.support(), key=word.graph.index.get)
     r = len(support)
     if r == 0:
@@ -119,13 +119,11 @@ def classify(word: Word, realization: Realization, cap: int = DEFAULT_CAP) -> Cl
     )
 
 
-def translation_length_bound(
-    word: Word, realization: Realization, cap: int = DEFAULT_CAP
-) -> Fraction:
+def translation_length_bound(word: Word, realization: Realization) -> Fraction:
     """The certified asymptotic lower bound 1/(2r + 1) on the curve
     complex translation length; defined only for words whose image is
     pseudo-Anosov on the whole ambient surface."""
-    report = classify(word, realization, cap)
+    report = classify(word, realization)
     if report.overall != "pseudo_anosov":
         raise NotFilling(
             f"mapping class is {report.overall}, not pseudo-Anosov on the ambient surface",
@@ -165,9 +163,10 @@ def verify_power_properties(
     connected piece of the complement graph; outside that the status is
     ``precondition_unmet``.  Likewise image_coverage reports
     ``precondition_unmet`` when the support's subsurfaces do not fill.
+    ``cap`` bounds nothing: no check here enumerates representatives.
     """
     canonical = normalize(word)
-    if not is_cyclically_reduced(canonical, cap):
+    if not is_cyclically_reduced(canonical):
         raise NotCyclicallyReduced("word is not conjugacy-minimal")
     graph = canonical.graph
     if realization is None:
@@ -228,8 +227,8 @@ def verify_power_properties(
         else {"status": FAIL, "note": f"powers {bad_powers} collapse"}
     )
 
-    square_order = syllable_order(power(canonical, 2), cap)
-    shift_one = power_shift_map(canonical, 1, 2, cap)
+    square_order = syllable_order(power(canonical, 2))
+    shift_one = power_shift_map(canonical, 1, 2)
     ids = _ids_of_sequence(canonical.syllables)
     misses = [s.label() for s in ids if (s, shift_one[s]) not in square_order.precedes]
     report["square_precedence"] = (
@@ -238,8 +237,8 @@ def verify_power_properties(
         else {"status": FAIL, "note": f"syllables {misses} do not precede their shifts"}
     )
 
-    high_order = syllable_order(power(canonical, r + 1), cap)
-    shift_r = power_shift_map(canonical, 1, r + 1, cap)
+    high_order = syllable_order(power(canonical, r + 1))
+    shift_r = power_shift_map(canonical, 1, r + 1)
     miss_pairs = [
         (s.label(), t.label())
         for s in ids

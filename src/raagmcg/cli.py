@@ -68,7 +68,7 @@ def _emit(text: str) -> None:
 
 
 def _emit_json(obj) -> None:
-    _emit(json.dumps(obj, indent=2))
+    _emit(json.dumps(obj, indent=2, allow_nan=False))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -145,13 +145,13 @@ def run(args: argparse.Namespace) -> int:
         else:
             _emit("\n".join(str(r) for r in reps))
     elif command == "order":
-        order = syllable_order(word, args.min_cap)
+        order = syllable_order(word)
         if args.format == "json":
             _emit_json(order.to_json_dict())
         else:
             _emit(order.to_dot())
     elif command == "reduce":
-        reduced, conjugator = cyclically_reduce(word, args.min_cap)
+        reduced, conjugator = cyclically_reduce(word)
         if args.format == "json":
             _emit_json(
                 {"input": str(word), "reduced": str(reduced), "conjugator": str(conjugator)}
@@ -166,12 +166,12 @@ def run(args: argparse.Namespace) -> int:
             _emit(str(count))
     elif command == "classify":
         realization = _load_realization(args.realization, graph)
-        report = classify(word, realization, args.min_cap)
+        report = classify(word, realization)
         _emit_json(report.to_json_dict())
     elif command == "verify":
         realization = _load_realization(args.realization, graph)
         report = verify_power_properties(
-            word, args.min_cap, realization, oracle_budget=args.search_cap
+            word, realization=realization, oracle_budget=args.search_cap
         )
         _emit_json({"word": str(normalize(word)), "checks": report})
     elif command == "certify":

@@ -17,7 +17,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import DanglingEdge, DuplicateVertex, SelfLoop, UnknownVertex
+from .errors import DanglingEdge, DuplicateVertex, MalformedGraph, SelfLoop, UnknownVertex
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,11 @@ class DefiningGraph:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DefiningGraph":
+        if not isinstance(data, dict):
+            raise MalformedGraph("graph JSON must be an object")
+        for key in ("vertices", "edges"):
+            if not isinstance(data.get(key), list):
+                raise MalformedGraph(f"graph JSON needs a list under {key!r}", key=key)
         return cls.from_data(data["vertices"], data["edges"])
 
     @classmethod

@@ -19,6 +19,10 @@ class RaagError(Exception):
         return {"error": self.code, "message": self.message, "details": self.details}
 
 
+class MalformedGraph(RaagError):
+    pass
+
+
 class DuplicateVertex(RaagError):
     pass
 

@@ -23,13 +23,14 @@ parameters, not derived from any surface.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Real
 from typing import Mapping
 
 from .defining_graph import DefiningGraph
 from .errors import InvalidConstants
-from .syllables import SyllableId, _ids_of_sequence, syllable_order
+from .syllables import SyllableId, _heap, _ids_of_sequence
 from .words import (
     DEFAULT_CAP,
     Word,
@@ -102,11 +103,11 @@ def check_representative_independence(word: Word, cap: int = DEFAULT_CAP) -> Che
     return CheckResult(True)
 
 
-def check_order_embedding(word: Word, cap: int = DEFAULT_CAP) -> CheckResult:
+def check_order_embedding(word: Word) -> CheckResult:
     """Check that distinct syllables map to distinct subsurfaces and that
     every pair unordered by the syllable order maps to disjoint
-    subsurfaces: a common translate of two base subsurfaces attached to
-    commuting generators."""
+    subsurfaces: a common translate, by the union of the pair's
+    down-sets, of two base subsurfaces attached to commuting generators."""
     canonical = normalize(word)
     reference = syllable_subsurface_map(canonical)
     ids = list(reference)
@@ -117,44 +118,27 @@ def check_order_embedding(word: Word, cap: int = DEFAULT_CAP) -> CheckResult:
                     False,
                     f"{ids[i].label()} and {ids[j].label()} map to the same subsurface",
                 )
-    order = syllable_order(canonical, cap)
-    incomparable = [
-        (s, t)
-        for i, s in enumerate(ids)
-        for t in ids[i + 1:]
-        if not order.comparable(s, t)
-    ]
-    if not incomparable:
-        return CheckResult(True)
-    reps = minimal_representatives(canonical, cap)
-    reps_ids = [(rep, _ids_of_sequence(rep.syllables)) for rep in reps]
+    below = _heap(canonical)
+    syllables = canonical.syllables
     graph = word.graph
-    for s, t in incomparable:
-        if not graph.has_edge(s.generator, t.generator):
-            return CheckResult(
-                False,
-                f"unordered pair {s.label()}, {t.label()} with non-commuting generators",
-            )
-        witness = None
-        for rep, rep_ids in reps_ids:
-            pos = {sid: p for p, sid in enumerate(rep_ids)}
-            if abs(pos[s] - pos[t]) == 1:
-                witness = (rep, min(pos[s], pos[t]))
-                break
-        if witness is None:
-            return CheckResult(
-                False,
-                f"unordered pair {s.label()}, {t.label()} never becomes adjacent",
-            )
-        rep, cut = witness
-        shared_prefix = Word(rep.syllables[:cut], graph)
-        for sid in (s, t):
-            candidate = MappedSubsurface(shared_prefix, sid.generator)
-            if not candidate.equivalent(reference[sid]):
+    for i, s in enumerate(ids):
+        for j, t in enumerate(ids[i + 1:], i + 1):
+            if below[j] >> i & 1:
+                continue
+            if not graph.has_edge(s.generator, t.generator):
                 return CheckResult(
                     False,
-                    f"{sid.label()} is not the shared-prefix translate of its base",
+                    f"unordered pair {s.label()}, {t.label()} with non-commuting generators",
                 )
+            down = below[i] | below[j]
+            shared_prefix = Word(tuple([syllables[p] for p in range(j) if down >> p & 1]), graph)
+            for sid in (s, t):
+                candidate = MappedSubsurface(shared_prefix, sid.generator)
+                if not candidate.equivalent(reference[sid]):
+                    return CheckResult(
+                        False,
+                        f"{sid.label()} is not the shared-prefix translate of its base",
+                    )
     return CheckResult(True)
 
 
@@ -164,6 +148,8 @@ def check_order_embedding(word: Word, cap: int = DEFAULT_CAP) -> CheckResult:
 def _check_number(name: str, value) -> None:
     if not isinstance(value, Real):
         raise InvalidConstants(f"{name} must be a real number", field=name)
+    if not -math.inf < value < math.inf:
+        raise InvalidConstants(f"{name} must be finite (got {value})", field=name)
 
 
 @dataclass(frozen=True)
@@ -201,6 +187,7 @@ class Constants:
             _check_number(name, value)
         if k is None:
             k = k0 + 20 + 2 * d
+        _check_number("K", k)
         if c is None:
             c = 2 * k
         if tau is None:

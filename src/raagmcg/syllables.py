@@ -2,12 +2,12 @@
 maps between syllables of powers, and cyclic (conjugacy-minimal)
 reduction.
 
-A syllable of a minimal word keeps its identity across all minimal
-representatives: move-(3) swaps never let two syllables with the same
-generator and exponent pass each other (they would have to become
-adjacent, where a merge would shorten the word).  So the triple
-(generator, exponent, occurrence rank) names a syllable unambiguously,
-and positional comparisons can be intersected over all minimal words.
+All of it comes from the heap of the canonical word: i lies below j when
+a chain of syllables with equal or non-commuting generators leads from i
+up to j (Cartier-Foata 1969; Viennot, "Heaps of pieces", 1986).  The
+minimal words are its linear extensions, in which equal generators never
+pass each other, so (generator, exponent, occurrence rank) names a
+syllable in all of them.
 """
 
 from __future__ import annotations
@@ -16,17 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import NotCyclicallyReduced, ShiftMapUndefined
-from .words import (
-    DEFAULT_CAP,
-    Syllable,
-    Word,
-    empty_word,
-    invert,
-    minimal_representatives,
-    multiply,
-    normalize,
-    power,
-)
+from .words import Syllable, Word, empty_word, invert, multiply, normalize, power
 
 
 @dataclass(frozen=True, order=True)
@@ -70,17 +60,21 @@ class SyllableOrder:
         return (s, t) in self.precedes or (t, s) in self.precedes
 
     def covering_pairs(self) -> list[tuple[SyllableId, SyllableId]]:
-        """Transitive reduction: the Hasse diagram edges."""
-        covers = []
+        """Transitive reduction: the Hasse diagram edges, ordered by the
+        positions of their ends in ``elements``."""
+        ids = self.elements
+        pos = {sid: i for i, sid in enumerate(ids)}
+        below = [0] * len(ids)
         for s, t in self.precedes:
-            if not any(
-                (s, u) in self.precedes and (u, t) in self.precedes
-                for u in self.elements
-            ):
-                covers.append((s, t))
-        pos = {sid: i for i, sid in enumerate(self.elements)}
-        covers.sort(key=lambda p: (pos[p[0]], pos[p[1]]))
-        return covers
+            below[pos[t]] |= 1 << pos[s]
+        covers = []
+        for mask in below:
+            through = 0  # everything below something below this element
+            for i, lower in enumerate(below):
+                if mask >> i & 1:
+                    through |= lower
+            covers.append(mask & ~through)
+        return [(s, t) for i, s in enumerate(ids) for t, c in zip(ids, covers) if c >> i & 1]
 
     def to_json_dict(self) -> dict:
         return {
@@ -98,31 +92,29 @@ class SyllableOrder:
         return "\n".join(lines) + "\n"
 
 
-def syllable_order(word: Word, cap: int = DEFAULT_CAP) -> SyllableOrder:
-    """Intersect the positional total orders of all minimal representatives.
+def _heap(word: Word) -> list[int]:
+    """Bit i of ``below[j]`` is set when syllable i of the canonical word
+    precedes syllable j in every minimal representative."""
+    comm = word.graph.commutation_matrix
+    index = word.graph.index
+    gens = [index[s.generator] for s in word.syllables]
+    below = [0] * len(gens)
+    for j, g in enumerate(gens):
+        for i in range(j):
+            if gens[i] == g or not comm[g][gens[i]]:
+                below[j] |= below[i] | 1 << i
+    return below
 
-    Raises CapExceeded if the set of minimal representatives outgrows
-    ``cap``.
-    """
+
+def syllable_order(word: Word) -> SyllableOrder:
+    """The heap of the canonical form: s precedes t iff s comes before t
+    in every minimal representative."""
     canonical = normalize(word)
-    reps = minimal_representatives(canonical, cap)
     ids = tuple(_ids_of_sequence(canonical.syllables))
-    index = {sid: i for i, sid in enumerate(ids)}
+    below = _heap(canonical)
     k = len(ids)
-    all_bits = (1 << k) - 1
-    after = [all_bits] * k  # after[i]: ids that follow i in every word so far
-    for rep in reps:
-        seq = _ids_of_sequence(rep.syllables)
-        mask = 0
-        for s in reversed(seq):
-            i = index[s]
-            after[i] &= mask
-            mask |= 1 << i
     precedes = frozenset(
-        (ids[i], ids[j])
-        for i in range(k)
-        for j in range(k)
-        if after[i] >> j & 1
+        [(ids[i], ids[j]) for j in range(k) for i in range(j) if below[j] >> i & 1]
     )
     return SyllableOrder(ids, precedes)
 
@@ -130,9 +122,7 @@ def syllable_order(word: Word, cap: int = DEFAULT_CAP) -> SyllableOrder:
 # -- shift maps between powers ---------------------------------------------
 
 
-def power_shift_map(
-    word: Word, m: int, n: int, cap: int = DEFAULT_CAP
-) -> dict[SyllableId, SyllableId]:
+def power_shift_map(word: Word, m: int, n: int) -> dict[SyllableId, SyllableId]:
     """Map each syllable of word^m to its copy n - m blocks later in
     word^n (so the block-j copy of a syllable goes to block j + n - m).
 
@@ -145,7 +135,7 @@ def power_shift_map(
     if not 1 <= m < n:
         raise ValueError("need 1 <= m < n")
     w = normalize(word)
-    if not is_cyclically_reduced(w, cap):
+    if not is_cyclically_reduced(w):
         raise NotCyclicallyReduced("word is not conjugacy-minimal")
     support = sorted(w.support(), key=w.graph.index.get)
     if len(support) < 2:
@@ -177,49 +167,61 @@ def power_shift_map(
 # -- cyclic reduction --------------------------------------------------------
 
 
-def _one_syllable(word: Word, s: Syllable) -> Word:
-    return Word((s,), word.graph)
-
-
-def _find_reduction(current: Word, cap: int) -> tuple[Word, Word] | None:
-    # Try conjugating away the first syllable, or the last syllable, of
-    # every minimal representative; report the first strict decrease.
-    # Returns (shorter conjugate, conjugator factor) with
-    # current = factor * shorter * factor^-1.
-    k = len(current.syllables)
-    if k == 0:
-        return None
-    for rep in minimal_representatives(current, cap):
-        first = _one_syllable(current, rep.syllables[0])
-        candidate = multiply(multiply(invert(first), current), first)
-        if len(candidate.syllables) < k:
-            return candidate, first
-        last = _one_syllable(current, rep.syllables[-1])
-        candidate = multiply(multiply(last, current), invert(last))
-        if len(candidate.syllables) < k:
-            return candidate, invert(last)
+def _find_reduction(current: Word) -> tuple[Word, Word] | None:
+    # The first strict decrease as (shorter conjugate, factor) with
+    # current = factor * shorter * factor^-1; see cyclically_reduce.
+    syllables = current.syllables
+    k = len(syllables)
+    first = Word(syllables[:1], current.graph)
+    candidate = multiply(multiply(invert(first), current), first)
+    if len(candidate.syllables) < k:
+        return candidate, first
+    not_maximal = 0
+    for mask in _heap(current):
+        not_maximal |= mask
+    for p in range(k - 1, 0, -1):
+        if not not_maximal >> p & 1:
+            last = Word((syllables[p],), current.graph)
+            candidate = multiply(multiply(last, current), invert(last))
+            if len(candidate.syllables) < k:
+                return candidate, invert(last)
     return None
 
 
-def cyclically_reduce(word: Word, cap: int = DEFAULT_CAP) -> tuple[Word, Word]:
+def cyclically_reduce(word: Word) -> tuple[Word, Word]:
     """A representative with the fewest syllables in the conjugacy class,
     plus a conjugator: word = conjugator * reduced * conjugator^-1.
 
-    Strategy: repeatedly conjugate away the first syllable or the last
-    syllable of some minimal representative whenever that strictly drops
-    the syllable count.  Termination is immediate (the count decreases);
-    that the fixed point is conjugacy-minimal is certified against an
-    exhaustive conjugation oracle in the test suite.
+    Each round conjugates away the first canonical syllable, or else a
+    maximal syllable t of the heap (right to left, position 0 skipped),
+    taking the first that lowers the count.  That is the order of trying
+    the first, then the last, syllable of each sorted minimal word: the
+    canonical word sorts first, the first word ending in t is it with t
+    moved last, and for maximal t_p, t_q at p < q those words first
+    differ at p, where the greedy pass put t_p before its available
+    successor.  No later word is needed: another minimal syllable
+    shortens only by merging with a same-generator maximal t, not at
+    position 0, which then shortens too; a maximal syllable at position
+    0 commutes with all others and merges with none.
+
+    The fixed point is conjugacy-minimal: no generator labels a minimal
+    and a different maximal syllable, so it is cyclically reduced, and
+    cyclically reduced conjugates differ by cyclic permutations and
+    commutations (Servatius, "Automorphisms of graph groups", 1989).
+    These keep the syllable count of the word read around a circle,
+    which a fixed point has exactly, as nothing merges across its cut.
+    The rounds only shorten and always stop at a fixed point, so no
+    conjugate has fewer syllables.
     """
     current = normalize(word)
     conjugator = empty_word(word.graph)
     while True:
-        found = _find_reduction(current, cap)
+        found = _find_reduction(current)
         if found is None:
             return current, conjugator
         current, factor = found
         conjugator = multiply(conjugator, factor)
 
 
-def is_cyclically_reduced(word: Word, cap: int = DEFAULT_CAP) -> bool:
-    return _find_reduction(normalize(word), cap) is None
+def is_cyclically_reduced(word: Word) -> bool:
+    return _find_reduction(normalize(word)) is None

@@ -1,14 +1,30 @@
 """Independent brute-force routines the tests check the library against.
 
-Everything here is deliberately written from scratch against the move
-definitions, without reusing the library's search or ordering code.
+Everything above the enumeration references is deliberately written
+from scratch against the move definitions, without reusing the
+library's search or ordering code.  The enumeration references at the
+end keep the exhaustive algorithms that the dependence poset replaced,
+run over ``minimal_representatives`` (which the acceptance suite checks
+against ``naive_swap_closure``).
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from raagmcg import Syllable, Word, multiply, invert, normalize
+from raagmcg import (
+    CheckResult,
+    MappedSubsurface,
+    Syllable,
+    SyllableId,
+    Word,
+    empty_word,
+    invert,
+    minimal_representatives,
+    multiply,
+    normalize,
+    syllable_subsurface_map,
+)
 
 
 def naive_swap_closure(word: Word) -> set[tuple[tuple[str, int], ...]]:
@@ -71,3 +87,117 @@ def conjugacy_oracle_min_syllables(word: Word, letter_bound: int) -> int:
             conjugate = multiply(multiply(tau, word), invert(tau))
             best = min(best, len(conjugate.syllables))
     return best
+
+
+# -- enumeration references ----------------------------------------------------
+
+
+def _ids(word: Word) -> list[SyllableId]:
+    return [SyllableId(*t) for t in positional_ids(
+        (s.generator, s.exponent) for s in word.syllables
+    )]
+
+
+def enumerated_order(word: Word) -> tuple[tuple, frozenset]:
+    """(elements, precedes) by intersecting the positional orders of all
+    minimal representatives."""
+    canonical = normalize(word)
+    elements = tuple(_ids(canonical))
+    precedes = None
+    for rep in minimal_representatives(canonical):
+        ids = _ids(rep)
+        pairs = {(s, t) for i, s in enumerate(ids) for t in ids[i + 1:]}
+        precedes = pairs if precedes is None else precedes & pairs
+    return elements, frozenset(precedes or ())
+
+
+def probed_covering_pairs(elements, precedes) -> list[tuple]:
+    """Hasse edges by probing every middle element, sorted by position."""
+    covers = [
+        (s, t) for s, t in precedes
+        if not any((s, u) in precedes and (u, t) in precedes for u in elements)
+    ]
+    pos = {sid: i for i, sid in enumerate(elements)}
+    return sorted(covers, key=lambda p: (pos[p[0]], pos[p[1]]))
+
+
+def _enumerated_reduction(current: Word):
+    # For every sorted minimal representative, try conjugating away its
+    # first syllable and then its last; the first strict decrease wins.
+    # Outcomes are memoised per conjugation, which keeps the order.
+    k = len(current.syllables)
+    tried = {}
+    for rep in minimal_representatives(current):
+        for side, syllable in (("first", rep.syllables[0]), ("last", rep.syllables[-1])):
+            if (side, syllable) not in tried:
+                one = Word((syllable,), current.graph)
+                if side == "first":
+                    found = (multiply(multiply(invert(one), current), one), one)
+                else:
+                    found = (multiply(multiply(one, current), invert(one)), invert(one))
+                tried[side, syllable] = found if len(found[0].syllables) < k else None
+            if tried[side, syllable] is not None:
+                return tried[side, syllable]
+    return None
+
+
+def enumerated_cyclic_reduction(word: Word) -> tuple[Word, Word]:
+    """(reduced, conjugator) by the sorted-representatives candidate loop."""
+    current = normalize(word)
+    conjugator = empty_word(word.graph)
+    while current.syllables:
+        found = _enumerated_reduction(current)
+        if found is None:
+            break
+        current, factor = found
+        conjugator = multiply(conjugator, factor)
+    return current, conjugator
+
+
+def enumerated_is_cyclically_reduced(word: Word) -> bool:
+    current = normalize(word)
+    return not current.syllables or _enumerated_reduction(current) is None
+
+
+def enumerated_order_embedding(word: Word) -> CheckResult:
+    """The order-embedding check with adjacency witnesses found by
+    scanning the sorted minimal representatives."""
+    canonical = normalize(word)
+    reference = syllable_subsurface_map(canonical)
+    ids = list(reference)
+    for i in range(len(ids)):
+        for j in range(i + 1, len(ids)):
+            if reference[ids[i]].equivalent(reference[ids[j]]):
+                return CheckResult(
+                    False,
+                    f"{ids[i].label()} and {ids[j].label()} map to the same subsurface",
+                )
+    _, precedes = enumerated_order(canonical)
+    graph = word.graph
+    reps = [(rep, _ids(rep)) for rep in minimal_representatives(canonical)]
+    for i, s in enumerate(ids):
+        for t in ids[i + 1:]:
+            if (s, t) in precedes or (t, s) in precedes:
+                continue
+            if not graph.has_edge(s.generator, t.generator):
+                return CheckResult(
+                    False,
+                    f"unordered pair {s.label()}, {t.label()} with non-commuting generators",
+                )
+            witness = None
+            for rep, rep_ids in reps:
+                ps, pt = rep_ids.index(s), rep_ids.index(t)
+                if abs(ps - pt) == 1:
+                    witness = Word(rep.syllables[:min(ps, pt)], graph)
+                    break
+            if witness is None:
+                return CheckResult(
+                    False, f"unordered pair {s.label()}, {t.label()} never becomes adjacent"
+                )
+            for sid in (s, t):
+                if not MappedSubsurface(witness, sid.generator).equivalent(reference[sid]):
+                    return CheckResult(
+                        False,
+                        f"{sid.label()} is not the shared-prefix translate of its base",
+                    )
+    return CheckResult(True)

@@ -155,3 +155,41 @@ def test_custom_realization_path(capsys, tmp_path, pentagon_path, pentagon_reali
     )
     assert code == 0
     assert json.loads(out)["overall"] == "reducible"
+
+
+@pytest.mark.parametrize("flag, value", [("--k0", "inf"), ("--a", "nan"), ("--b", "inf")])
+def test_certify_rejects_non_finite_constants(capsys, pentagon_path, flag, value):
+    code, out = run_cli(
+        capsys, "certify", "--graph", pentagon_path, "--word", "a", flag, value,
+    )
+    assert code == 1
+    data = json.loads(out, parse_constant=pytest.fail)  # Infinity or NaN fails
+    assert data["error"] == "InvalidConstants"
+
+
+@pytest.mark.parametrize("payload, key", [
+    ({"edges": []}, "vertices"),
+    ({"vertices": ["a"], "edges": "a"}, "edges"),
+    (["a", "b"], None),
+])
+def test_malformed_graph_is_machine_readable(capsys, tmp_path, payload, key):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(payload))
+    code, out = run_cli(capsys, "normalize", "--graph", str(path), "--word", "a")
+    assert code == 1
+    data = json.loads(out)
+    assert data["error"] == "MalformedGraph"
+    assert data["details"].get("key") == key
+
+
+def test_min_cap_bounds_only_min_enum(capsys, pentagon_path):
+    code, out = run_cli(
+        capsys, "min-enum", "--graph", pentagon_path, "--word", "a b", "--min-cap", "1",
+    )
+    assert code == 1
+    assert json.loads(out)["error"] == "CapExceeded"
+    for command in ("order", "reduce", "classify", "verify"):
+        code, _ = run_cli(
+            capsys, command, "--graph", pentagon_path, "--word", "a b", "--min-cap", "1",
+        )
+        assert code == 0
