@@ -27,14 +27,21 @@ from .words import (
 ENV_CAP = "RAAGMCG_CAP"
 
 
-def _default_cap() -> int:
-    raw = os.environ.get(ENV_CAP)
-    if raw is None:
-        return 100_000
+def _cap(text: str) -> int:
     try:
-        return int(raw)
+        value = int(text)
     except ValueError:
-        return 100_000
+        raise argparse.ArgumentTypeError(f"cap must be an integer, got {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"cap must be positive, got {value}")
+    return value
+
+
+def _default_cap(parser: argparse.ArgumentParser) -> int:
+    try:
+        return _cap(os.environ.get(ENV_CAP, "100000"))
+    except argparse.ArgumentTypeError as err:
+        parser.error(f"{ENV_CAP}: {err}")
 
 
 def _number(text: str):
@@ -79,15 +86,15 @@ def build_parser() -> argparse.ArgumentParser:
             "Thurston types of their mapping class images."
         ),
     )
+    cap = _default_cap(parser)
     sub = parser.add_subparsers(dest="command", required=True)
-    cap = _default_cap()
 
     def word_command(name: str, help_text: str, formats: list[str], default_format: str):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--graph", required=True, help="path to a graph JSON file")
         p.add_argument("--word", required=True, help="word in the token grammar")
-        p.add_argument("--min-cap", type=int, default=cap, dest="min_cap")
-        p.add_argument("--search-cap", type=int, default=cap, dest="search_cap")
+        p.add_argument("--min-cap", type=_cap, default=cap, dest="min_cap")
+        p.add_argument("--search-cap", type=_cap, default=cap, dest="search_cap")
         p.add_argument("--format", choices=formats, default=default_format)
         return p
 

@@ -41,6 +41,13 @@ class DefiningGraph:
         for key in ("vertices", "edges"):
             if not isinstance(data.get(key), list):
                 raise MalformedGraph(f"graph JSON needs a list under {key!r}", key=key)
+        for edge in data["edges"]:
+            if not (isinstance(edge, list) and len(edge) == 2
+                    and all(isinstance(v, str) for v in edge)):
+                raise MalformedGraph(
+                    f"graph edge {edge!r} is not a list of two vertex names",
+                    key="edges", edge=edge,
+                )
         return cls.from_data(data["vertices"], data["edges"])
 
     @classmethod
@@ -112,7 +119,12 @@ class DefiningGraph:
         return self.neighbors[v] | {v}
 
     def complement(self) -> "DefiningGraph":
-        """Same vertices; edges exactly on the non-edges of this graph."""
+        """Same vertices; edges exactly on the non-edges of this graph.
+        Built once per graph."""
+        return self._complement
+
+    @cached_property
+    def _complement(self) -> "DefiningGraph":
         comp = frozenset(
             frozenset(p)
             for p in combinations(self.vertices, 2)

@@ -23,6 +23,10 @@ class MalformedGraph(RaagError):
     pass
 
 
+class MalformedRealization(RaagError):
+    pass
+
+
 class DuplicateVertex(RaagError):
     pass
 

@@ -23,11 +23,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
 from .defining_graph import DefiningGraph
-from .errors import DisjointnessMismatch, NestingDetected, UnknownVertex
+from .errors import (
+    DisjointnessMismatch,
+    DuplicateVertex,
+    MalformedRealization,
+    NestingDetected,
+    UnknownVertex,
+)
 
 
 @dataclass(frozen=True)
@@ -56,13 +63,9 @@ class Realization:
         self.graph.require_vertex(vertex)
         return self._by_vertex[vertex]
 
-    @property
+    @cached_property
     def _by_vertex(self) -> dict[str, Subsurface]:
-        cached = self.__dict__.get("_by_vertex_cache")
-        if cached is None:
-            cached = {x.vertex: x for x in self.subsurfaces}
-            self.__dict__["_by_vertex_cache"] = cached
-        return cached
+        return {x.vertex: x for x in self.subsurfaces}
 
     def to_json_dict(self) -> dict:
         return {
@@ -86,24 +89,56 @@ class Realization:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Realization":
-        graph = DefiningGraph.from_json_dict(data["graph"])
-        curves = tuple(data["curves"])
+        """Raises MalformedRealization, naming the key, unless ``data`` is
+        an object with an object under "graph", a list of strings under
+        "curves", a string under "ambient" and a list under "subsurfaces"
+        of objects with strings under "vertex" and "core" and a list of
+        strings under "intersects"."""
+        where = "realization JSON"
+        _require_object(data, where)
+        graph = DefiningGraph.from_json_dict(_field(data, "graph", dict, where))
+        curves = tuple(_field(data, "curves", _STRINGS, where))
+        ambient = _field(data, "ambient", str, where)
         subs = []
-        for entry in data["subsurfaces"]:
-            vertex = entry["vertex"]
+        for n, entry in enumerate(_field(data, "subsurfaces", list, where)):
+            where = f"subsurface entry {n}"
+            _require_object(entry, where, key="subsurfaces", index=n)
+            vertex = _field(entry, "vertex", str, where, index=n)
             subs.append(
                 Subsurface(
                     label=entry.get("label", f"X_{vertex}"),
                     vertex=vertex,
-                    core=entry["core"],
-                    intersects=frozenset(entry["intersects"]),
+                    core=_field(entry, "core", str, where, index=n),
+                    intersects=frozenset(_field(entry, "intersects", _STRINGS, where, index=n)),
                 )
             )
-        return cls(graph, tuple(subs), curves, data["ambient"])
+        return cls(graph, tuple(subs), curves, ambient)
 
     @classmethod
     def from_json(cls, text: str) -> "Realization":
         return cls.from_json_dict(json.loads(text))
+
+
+_STRINGS = "a list of strings"
+_KINDS = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _require_object(data, where: str, **details) -> None:
+    if not isinstance(data, dict):
+        raise MalformedRealization(f"{where} must be an object", **details)
+
+
+def _field(data: dict, key: str, kind, where: str, **details):
+    """``data[key]``, checked to be of ``kind``: a type, or _STRINGS."""
+    value = data.get(key)
+    if kind is _STRINGS:
+        ok = isinstance(value, list) and all(isinstance(x, str) for x in value)
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        wanted = _KINDS.get(kind, kind)
+        raise MalformedRealization(f"{where} needs {wanted} under {key!r}", key=key, **details)
+    return value
 
 
 def build_standard_realization(graph: DefiningGraph) -> Realization:
@@ -152,7 +187,7 @@ def validate_realization(realization: Realization) -> None:
     for x in realization.subsurfaces:
         graph.require_vertex(x.vertex)
         if x.vertex in seen_vertices:
-            raise UnknownVertex(
+            raise DuplicateVertex(
                 f"two subsurfaces declared for vertex {x.vertex!r}", label=x.vertex
             )
         seen_vertices.add(x.vertex)

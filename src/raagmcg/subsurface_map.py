@@ -9,6 +9,15 @@ base vertex), and the prefix only matters modulo the subgroup generated
 by the star of the base vertex: generators commuting with the base fix
 its subsurface.
 
+Every prefix used here is the word on a down-set of the heap of the
+canonical word, so both are read off it without word arithmetic: the
+values take the first i canonical syllables as they stand, and the
+order-embedding check decides star-coset equality of two down-sets from
+the generators on their symmetric difference, one bitmask per base
+vertex.  ``MappedSubsurface.equivalent``, which multiplies out, and
+``check_representative_independence``, which walks every minimal
+representative, stay as the references the tests compare against.
+
 Certificates record, per syllable, the guaranteed projection distance
 K * |exponent| between a basepoint marking and its image, where
 
@@ -66,15 +75,18 @@ def syllable_subsurface_map(word: Word) -> dict[SyllableId, MappedSubsurface]:
     """Assign to each syllable of the canonical form the translate of its
     generator's subsurface by the prefix before it.  The values do not
     depend on the choice of minimal representative (modulo star cosets);
-    ``check_representative_independence`` certifies this exhaustively."""
+    ``check_representative_independence`` certifies this exhaustively.
+
+    A prefix of the canonical word is its own canonical form: it is
+    minimal, and on it the greedy pass of ``normalize`` makes the same
+    choice at every step as on the whole word, as a syllable movable to
+    the front of the prefix is movable to the front of the word."""
     canonical = normalize(word)
-    ids = _ids_of_sequence(canonical.syllables)
-    out: dict[SyllableId, MappedSubsurface] = {}
-    prefix = empty_word(word.graph)
-    for sid, syllable in zip(ids, canonical.syllables):
-        out[sid] = MappedSubsurface(prefix, syllable.generator)
-        prefix = multiply(prefix, Word((syllable,), word.graph))
-    return out
+    syllables = canonical.syllables
+    return {
+        sid: MappedSubsurface(Word(syllables[:i], word.graph), s.generator)
+        for i, (sid, s) in enumerate(zip(_ids_of_sequence(syllables), syllables))
+    }
 
 
 @dataclass(frozen=True)
@@ -107,19 +119,40 @@ def check_order_embedding(word: Word) -> CheckResult:
     """Check that distinct syllables map to distinct subsurfaces and that
     every pair unordered by the syllable order maps to disjoint
     subsurfaces: a common translate, by the union of the pair's
-    down-sets, of two base subsurfaces attached to commuting generators."""
+    down-sets, of two base subsurfaces attached to commuting generators.
+
+    Every prefix compared here is the word on a down-set of the heap:
+    the first i syllables, or the union of two down-sets.  Two translates
+    of the subsurface of v by down-sets P and Q are equal exactly when no
+    syllable of P ^ Q has its generator outside star(v):
+
+      * no syllable of P - Q is ordered with one of Q - P, as each set
+        is closed downwards, so their generators differ and commute;
+      * so P^-1 Q is the word on P - Q, inverted, followed by the word
+        on Q - P, and it is minimal: nothing merges across, and each part
+        is convex in the heap, so a non-commuting syllable still lies
+        between any two of its syllables with one generator;
+      * a minimal word lies in the subgroup generated by a vertex set
+        exactly when all of its generators lie in that set.
+
+    Bit p of ``outside[v]`` marks syllable p as outside star(v), so each
+    test is one mask operation and no prefix is multiplied out.
+    """
     canonical = normalize(word)
-    reference = syllable_subsurface_map(canonical)
-    ids = list(reference)
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            if reference[ids[i]].equivalent(reference[ids[j]]):
+    syllables = canonical.syllables
+    ids = _ids_of_sequence(syllables)
+    outside = {}
+    for v in canonical.support():
+        star = word.graph.star(v)
+        outside[v] = sum(1 << p for p, s in enumerate(syllables) if s.generator not in star)
+    for i, s in enumerate(ids):
+        for j, t in enumerate(ids[i + 1:], i + 1):
+            v = s.generator
+            if v == t.generator and not outside[v] & (((1 << i) - 1) ^ ((1 << j) - 1)):
                 return CheckResult(
-                    False,
-                    f"{ids[i].label()} and {ids[j].label()} map to the same subsurface",
+                    False, f"{s.label()} and {t.label()} map to the same subsurface"
                 )
     below = _heap(canonical)
-    syllables = canonical.syllables
     graph = word.graph
     for i, s in enumerate(ids):
         for j, t in enumerate(ids[i + 1:], i + 1):
@@ -131,10 +164,8 @@ def check_order_embedding(word: Word) -> CheckResult:
                     f"unordered pair {s.label()}, {t.label()} with non-commuting generators",
                 )
             down = below[i] | below[j]
-            shared_prefix = Word(tuple([syllables[p] for p in range(j) if down >> p & 1]), graph)
-            for sid in (s, t):
-                candidate = MappedSubsurface(shared_prefix, sid.generator)
-                if not candidate.equivalent(reference[sid]):
+            for p, sid in ((i, s), (j, t)):
+                if outside[sid.generator] & (down ^ ((1 << p) - 1)):
                     return CheckResult(
                         False,
                         f"{sid.label()} is not the shared-prefix translate of its base",

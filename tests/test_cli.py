@@ -193,3 +193,66 @@ def test_min_cap_bounds_only_min_enum(capsys, pentagon_path):
             capsys, command, "--graph", pentagon_path, "--word", "a b", "--min-cap", "1",
         )
         assert code == 0
+
+
+@pytest.mark.parametrize("edge", [5, "ab", ["a", "b", "c"]])
+def test_malformed_graph_edge_is_machine_readable(capsys, tmp_path, edge):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"vertices": ["a", "b", "c"], "edges": [edge]}))
+    code, out = run_cli(capsys, "normalize", "--graph", str(path), "--word", "a")
+    assert code == 1
+    data = json.loads(out)
+    assert data["error"] == "MalformedGraph"
+    assert data["details"] == {"key": "edges", "edge": edge}
+
+
+@pytest.mark.parametrize("missing", [True, False], ids=["missing", "ill-typed"])
+@pytest.mark.parametrize(
+    "key", ["graph", "curves", "subsurfaces", "ambient", "vertex", "core", "intersects"]
+)
+def test_malformed_realization_is_machine_readable(
+    capsys, tmp_path, pentagon_path, pentagon_realization, key, missing
+):
+    payload = pentagon_realization.to_json_dict()
+    holder = payload if key in payload else payload["subsurfaces"][2]
+    if missing:
+        del holder[key]
+    else:
+        holder[key] = 5
+    path = tmp_path / "real.json"
+    path.write_text(json.dumps(payload))
+    code, out = run_cli(
+        capsys, "classify", "--graph", pentagon_path, "--realization", str(path),
+        "--word", "a b",
+    )
+    assert code == 1
+    data = json.loads(out)
+    assert data["error"] == "MalformedRealization"
+    assert data["details"]["key"] == key
+    assert data["details"].get("index") == (None if holder is payload else 2)
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--min-cap", "0"), ("--min-cap", "-1"), ("--search-cap", "0"), ("--search-cap", "-5"),
+])
+def test_non_positive_caps_are_usage_errors(capsys, pentagon_path, flag, value):
+    with pytest.raises(SystemExit) as err:
+        main(["oracle", "--graph", pentagon_path, "--word", "a", flag, value])
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("raw", ["junk", "0", "-2"])
+def test_bad_cap_environment_is_usage_error(capsys, monkeypatch, pentagon_path, raw):
+    monkeypatch.setenv("RAAGMCG_CAP", raw)
+    with pytest.raises(SystemExit) as err:
+        main(["normalize", "--graph", pentagon_path, "--word", "a"])
+    assert err.value.code == 2
+    assert "RAAGMCG_CAP" in capsys.readouterr().err
+
+
+def test_cap_environment_sets_the_default(capsys, monkeypatch, pentagon_path):
+    monkeypatch.setenv("RAAGMCG_CAP", "1")
+    code, out = run_cli(capsys, "min-enum", "--graph", pentagon_path, "--word", "a b")
+    assert code == 1
+    assert json.loads(out)["details"] == {"cap": 1}

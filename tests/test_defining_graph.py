@@ -44,6 +44,10 @@ def test_pentagon_complement_is_pentagram(pentagon):
     assert len(comp.components(pentagon.vertices)) == 1
 
 
+def test_complement_is_built_once(pentagon):
+    assert pentagon.complement() is pentagon.complement()
+
+
 def test_complement_of_complete_graph_is_edgeless():
     k3 = DefiningGraph.from_data("abc", [("a", "b"), ("b", "c"), ("a", "c")])
     assert k3.complement().edges == frozenset()

@@ -1,18 +1,23 @@
 """The dependence poset (heap) behind the syllable order, cyclic reduction
 and the order-embedding check, compared with the exhaustive enumeration
-of minimal representatives it replaced."""
+of minimal representatives it replaced, and the down-set reading of the
+subsurface values compared with their word arithmetic."""
 
 import random
 
 from raagmcg import (
     DefiningGraph,
+    MappedSubsurface,
+    Word,
     build_standard_realization,
     check_order_embedding,
     classify,
     cyclically_reduce,
     is_cyclically_reduced,
+    normalize,
     parse_word,
     syllable_order,
+    syllable_subsurface_map,
 )
 from conftest import random_graph, random_word
 from helpers import (
@@ -53,3 +58,66 @@ def test_classify_long_commuting_interleaving():
     assert len(report.reduced.syllables) == 200
     assert report.conjugator.is_empty
     assert [c.generators for c in report.components] == [("x", "y"), ("u", "v")]
+
+
+def _down_set_masks(word):
+    # Bit i of masks[j] is set when syllable i precedes syllable j.
+    order = syllable_order(word)
+    position = {sid: p for p, sid in enumerate(order.elements)}
+    masks = [0] * len(order.elements)
+    for s, t in order.precedes:
+        masks[position[t]] |= 1 << position[s]
+    return masks
+
+
+def test_star_coset_equality_is_read_off_down_sets():
+    rng = random.Random(20261019)
+    outcomes = []
+    for _ in range(400):
+        graph = random_graph(rng, max_vertices=7)
+        word = normalize(random_word(rng, graph, 14))
+        syllables = word.syllables
+        below = _down_set_masks(word)
+
+        def down_set():
+            density = rng.random()
+            mask = 0
+            for p in range(len(syllables)):
+                if rng.random() < density:
+                    mask |= 1 << p | below[p]
+            return mask
+
+        def word_on(mask):
+            return Word(tuple(s for p, s in enumerate(syllables) if mask >> p & 1), graph)
+
+        for _ in range(5):
+            d, p, v = down_set(), down_set(), rng.choice(graph.vertices)
+            star = graph.star(v)
+            expected = all(
+                s.generator in star for q, s in enumerate(syllables) if (d ^ p) >> q & 1
+            )
+            equal = MappedSubsurface(word_on(d), v).equivalent(MappedSubsurface(word_on(p), v))
+            assert equal == expected, (word, d, p, v)
+            outcomes.append(equal)
+    assert 0.2 < sum(outcomes) / len(outcomes) < 0.8
+
+
+def test_subsurface_prefixes_are_normal_forms():
+    rng = random.Random(20261020)
+    for _ in range(300):
+        graph = random_graph(rng, max_vertices=7)
+        word = random_word(rng, graph, 16)
+        canonical = normalize(word)
+        prefixes = [str(value.prefix) for value in syllable_subsurface_map(word).values()]
+        assert prefixes == [
+            str(normalize(Word(canonical.syllables[:i], graph)))
+            for i in range(len(canonical.syllables))
+        ], word
+
+
+def test_order_embedding_long_commuting_interleaving():
+    graph = DefiningGraph.from_data(
+        "xyuv", [("x", "u"), ("x", "v"), ("y", "u"), ("y", "v")]
+    )
+    word = parse_word("x y " * 50 + "u v " * 50, graph)
+    assert check_order_embedding(word).ok

@@ -5,6 +5,7 @@ import pytest
 from raagmcg import (
     DefiningGraph,
     DisjointnessMismatch,
+    DuplicateVertex,
     NestingDetected,
     Realization,
     Subsurface,
@@ -92,6 +93,16 @@ def test_one_sided_incidence_is_nesting():
     )
     with pytest.raises(NestingDetected):
         validate_realization(bad)
+
+
+def test_duplicate_subsurface_is_duplicate_vertex():
+    g = DefiningGraph.from_data("ab", [])
+    standard = build_standard_realization(g)
+    x_a, x_b = standard.subsurfaces
+    bad = Realization(g, (x_a, x_b, x_a), standard.reference_curves, "custom")
+    with pytest.raises(DuplicateVertex) as err:
+        validate_realization(bad)
+    assert err.value.details == {"label": "a"}
 
 
 def test_standard_realization_validates_on_random_graphs():
