@@ -88,7 +88,17 @@ class ClassificationReport:
 
 def classify(word: Word, realization: Realization) -> ClassificationReport:
     """Conjugacy-reduce the word, split its support along the complement
-    graph, and report the Thurston type of each piece."""
+    graph, and report the Thurston type of each piece.
+
+    The word of a component is the canonical reduced word restricted to
+    the component's generators, and it is already canonical.  Generators
+    of different components commute, so every blocker of a component's
+    generator, and every chain that keeps two of its equal syllables
+    apart, lies in that component: the heap of the word is the disjoint
+    union of the components' heaps, and the restriction stays minimal.
+    The greedy pass emits the smallest movable generator, so on a
+    disjoint union it restricts to the greedy pass of each part.
+    """
     if word.graph != realization.graph:
         raise ValueError("word and realization use different defining graphs")
     canonical = normalize(word)
@@ -100,14 +110,10 @@ def classify(word: Word, realization: Realization) -> ClassificationReport:
     fill_result = fill(realization, support)
     components = []
     for part in fill_result.components:
-        part_set = set(part)
-        subword = Word(
-            tuple(s for s in reduced.syllables if s.generator in part_set), word.graph
-        )
         components.append(
             ComponentReport(
                 generators=part,
-                word=normalize(subword),
+                word=Word(tuple(s for s in reduced.syllables if s.generator in part), word.graph),
                 fills_ambient=fill(realization, part).fills_ambient,
             )
         )

@@ -7,7 +7,11 @@ a chain of syllables with equal or non-commuting generators leads from i
 up to j (Cartier-Foata 1969; Viennot, "Heaps of pieces", 1986).  The
 minimal words are its linear extensions, in which equal generators never
 pass each other, so (generator, exponent, occurrence rank) names a
-syllable in all of them.
+syllable in all of them.  Its minimal and maximal syllables are the
+ones that can be moved to the front and to the back, so cyclic
+reduction reads each step off the heap as well: a minimal and a
+different maximal syllable with one generator merge when one of them is
+conjugated around the word, and no trial conjugate is computed.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import NotCyclicallyReduced, ShiftMapUndefined
-from .words import Syllable, Word, empty_word, invert, multiply, normalize, power
+from .words import Syllable, Word, empty_word, multiply, normalize, power
 
 
 @dataclass(frozen=True, order=True)
@@ -148,16 +152,13 @@ def power_shift_map(word: Word, m: int, n: int) -> dict[SyllableId, SyllableId]:
             "support is disconnected in the complement graph; power blocks may merge",
             support=support,
         )
-    counts: dict[tuple[str, int], int] = {}
-    for s in w.syllables:
-        key = (s.generator, s.exponent)
-        counts[key] = counts.get(key, 0) + 1
+    last = {(sid.generator, sid.exponent): sid for sid in _ids_of_sequence(w.syllables)}
     base = power(w, m)
     if len(base.syllables) != m * len(w.syllables):
         raise ShiftMapUndefined("power of the word collapsed", m=m)
     shift: dict[SyllableId, SyllableId] = {}
     for sid in _ids_of_sequence(base.syllables):
-        step = counts[(sid.generator, sid.exponent)]
+        step = last[(sid.generator, sid.exponent)].occurrence
         shift[sid] = SyllableId(
             sid.generator, sid.exponent, sid.occurrence + (n - m) * step
         )
@@ -170,22 +171,23 @@ def power_shift_map(word: Word, m: int, n: int) -> dict[SyllableId, SyllableId]:
 def _find_reduction(current: Word) -> tuple[Word, Word] | None:
     # The first strict decrease as (shorter conjugate, factor) with
     # current = factor * shorter * factor^-1; see cyclically_reduce.
-    syllables = current.syllables
-    k = len(syllables)
-    first = Word(syllables[:1], current.graph)
-    candidate = multiply(multiply(invert(first), current), first)
-    if len(candidate.syllables) < k:
-        return candidate, first
+    syllables = list(current.syllables)
+    below = _heap(current)
     not_maximal = 0
-    for mask in _heap(current):
+    for mask in below:
         not_maximal |= mask
-    for p in range(k - 1, 0, -1):
-        if not not_maximal >> p & 1:
-            last = Word((syllables[p],), current.graph)
-            candidate = multiply(multiply(last, current), invert(last))
-            if len(candidate.syllables) < k:
-                return candidate, invert(last)
-    return None
+    minimal = {syllables[i].generator: i for i, mask in enumerate(below) if not mask}
+    maximal = [p for p in range(len(below) - 1, 0, -1) if not not_maximal >> p & 1]
+    partners = [(p, minimal.get(syllables[p].generator, p)) for p in maximal]
+    moves = [(0, p) for p, i in partners if i == 0] + [(p, i) for p, i in partners if i != p]
+    if not moves:
+        return None
+    moved, target = moves[0]
+    s = syllables[moved]
+    syllables[target] = Syllable(s.generator, syllables[target].exponent + s.exponent)
+    del syllables[moved]
+    factor = s if moved == 0 else Syllable(s.generator, -s.exponent)
+    return normalize(Word(tuple(syllables), current.graph)), Word((factor,), current.graph)
 
 
 def cyclically_reduce(word: Word) -> tuple[Word, Word]:
@@ -203,6 +205,24 @@ def cyclically_reduce(word: Word) -> tuple[Word, Word]:
     shortens only by merging with a same-generator maximal t, not at
     position 0, which then shortens too; a maximal syllable at position
     0 commutes with all others and merges with none.
+
+    No conjugate is tried out: the heap says which one is shorter.
+    Moving the first syllable to the back shortens exactly when a
+    maximal syllable p >= 1 has its generator, and moving a maximal t_p
+    to the front exactly when a minimal syllable i != p has its
+    generator; there is at most one such partner, as two syllables of
+    one generator are ordered.  The shorter conjugate is then the
+    canonical word with the moved syllable dropped and its exponent
+    added to its partner's.  Everything after a maximal syllable (or
+    before a minimal one) commutes with it and has another generator, so
+    the moved syllable slides to its partner.  Removing a maximal or
+    minimal syllable creates no new merge: a chain that kept two equal
+    generators apart would have to pass through it, and nothing lies
+    above a maximal or below a minimal syllable.  That covers a partner
+    whose exponent sums to zero, too: it is maximal or minimal itself.
+    Without a partner the moved syllable is blocked before it meets its
+    generator, and the count stays.  The merged list is normalized once
+    per round.
 
     The fixed point is conjugacy-minimal: no generator labels a minimal
     and a different maximal syllable, so it is cyclically reduced, and

@@ -5,7 +5,9 @@ from scratch against the move definitions, without reusing the
 library's search or ordering code.  The enumeration references at the
 end keep the exhaustive algorithms that the dependence poset replaced,
 run over ``minimal_representatives`` (which the acceptance suite checks
-against ``naive_swap_closure``).
+against ``naive_swap_closure``), and the trial-conjugation reduction
+that multiplies out each candidate conjugate instead of reading the
+merge off the heap.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from raagmcg import (
     minimal_representatives,
     multiply,
     normalize,
+    syllable_order,
     syllable_subsurface_map,
 )
 
@@ -157,6 +160,43 @@ def enumerated_cyclic_reduction(word: Word) -> tuple[Word, Word]:
 def enumerated_is_cyclically_reduced(word: Word) -> bool:
     current = normalize(word)
     return not current.syllables or _enumerated_reduction(current) is None
+
+
+def _trial_reduction(current: Word):
+    # Conjugate the first syllable to the back, then each maximal syllable
+    # of the heap, right to left and skipping position 0, to the front;
+    # the first conjugate with fewer syllables wins.
+    syllables = current.syllables
+    k = len(syllables)
+    first = Word(syllables[:1], current.graph)
+    candidate = multiply(multiply(invert(first), current), first)
+    if len(candidate.syllables) < k:
+        return candidate, first
+    order = syllable_order(current)
+    below_something = {s for s, _ in order.precedes}
+    for p in range(k - 1, 0, -1):
+        if order.elements[p] not in below_something:
+            last = Word((syllables[p],), current.graph)
+            candidate = multiply(multiply(last, current), invert(last))
+            if len(candidate.syllables) < k:
+                return candidate, invert(last)
+    return None
+
+
+def trial_cyclic_reduction(word: Word) -> tuple[Word, Word]:
+    """(reduced, conjugator) by multiplying out every candidate conjugate."""
+    current = normalize(word)
+    conjugator = empty_word(word.graph)
+    while True:
+        found = _trial_reduction(current)
+        if found is None:
+            return current, conjugator
+        current, factor = found
+        conjugator = multiply(conjugator, factor)
+
+
+def trial_is_cyclically_reduced(word: Word) -> bool:
+    return _trial_reduction(normalize(word)) is None
 
 
 def enumerated_order_embedding(word: Word) -> CheckResult:

@@ -6,15 +6,17 @@ import pytest
 from raagmcg import (
     NotCyclicallyReduced,
     NotFilling,
+    build_standard_realization,
     classify,
     equal_elements,
     multiply,
+    normalize,
     parse_word,
     power,
     translation_length_bound,
     verify_power_properties,
 )
-from conftest import random_word
+from conftest import random_graph, random_word
 
 
 def w(text, graph):
@@ -64,6 +66,22 @@ def test_component_subwords_multiply_back(pentagon, pentagon_realization):
         for component in report.components:
             product = multiply(product, component.word)
         assert equal_elements(product, report.reduced)
+
+
+def test_component_words_are_canonical_on_random_graphs():
+    # The classifier restricts the canonical reduced word to each
+    # component without normalizing it again; see the classify docstring.
+    rng = random.Random(20261022)
+    checked = 0
+    for _ in range(200):
+        graph = random_graph(rng, max_vertices=8)
+        realization = build_standard_realization(graph)
+        for _ in range(5):
+            report = classify(random_word(rng, graph, 16), realization)
+            for component in report.components:
+                assert component.word == normalize(component.word), report.input
+                checked += len(component.word.syllables) > 1
+    assert checked > 500
 
 
 def test_component_count_matches_complement(pentagon, pentagon_realization):

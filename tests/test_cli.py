@@ -206,6 +206,17 @@ def test_malformed_graph_edge_is_machine_readable(capsys, tmp_path, edge):
     assert data["details"] == {"key": "edges", "edge": edge}
 
 
+@pytest.mark.parametrize("vertex", [["a"], 1, None, "a b", "a^1", "a#1"])
+def test_malformed_graph_vertex_is_machine_readable(capsys, tmp_path, vertex):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"vertices": [vertex, "b"], "edges": []}))
+    code, out = run_cli(capsys, "normalize", "--graph", str(path), "--word", "b")
+    assert code == 1
+    data = json.loads(out)
+    assert data["error"] == "MalformedGraph"
+    assert data["details"] == {"key": "vertices", "vertex": vertex}
+
+
 @pytest.mark.parametrize("missing", [True, False], ids=["missing", "ill-typed"])
 @pytest.mark.parametrize(
     "key", ["graph", "curves", "subsurfaces", "ambient", "vertex", "core", "intersects"]

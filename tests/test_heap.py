@@ -1,6 +1,7 @@
 """The dependence poset (heap) behind the syllable order, cyclic reduction
 and the order-embedding check, compared with the exhaustive enumeration
-of minimal representatives it replaced, and the down-set reading of the
+of minimal representatives it replaced (and, for cyclic reduction on
+longer words, with trial conjugation), and the down-set reading of the
 subsurface values compared with their word arithmetic."""
 
 import random
@@ -13,6 +14,7 @@ from raagmcg import (
     check_order_embedding,
     classify,
     cyclically_reduce,
+    invert,
     is_cyclically_reduced,
     normalize,
     parse_word,
@@ -26,6 +28,8 @@ from helpers import (
     enumerated_order,
     enumerated_order_embedding,
     probed_covering_pairs,
+    trial_cyclic_reduction,
+    trial_is_cyclically_reduced,
 )
 
 
@@ -45,6 +49,24 @@ def test_heap_matches_enumeration_on_random_words():
             assert is_cyclically_reduced(word) == enumerated_is_cyclically_reduced(word), word
             assert check_order_embedding(word) == enumerated_order_embedding(word), word
             compared += 1
+
+
+def test_heap_reduction_matches_trial_conjugation_on_long_words():
+    # Conjugates u c u^-1 of up to 49 syllables, beyond the reach of the
+    # enumeration above, against multiplying out every candidate.
+    rng = random.Random(20261021)
+    shortened = 0
+    for _ in range(200):
+        graph = random_graph(rng, max_vertices=10)
+        for _ in range(5):
+            u = random_word(rng, graph, 12)
+            c = random_word(rng, graph, 25)
+            word = Word(u.syllables + c.syllables + invert(u).syllables, graph)
+            reduced, conjugator = cyclically_reduce(word)
+            assert (reduced, conjugator) == trial_cyclic_reduction(word), word
+            assert is_cyclically_reduced(word) == trial_is_cyclically_reduced(word), word
+            shortened += len(reduced.syllables) < len(normalize(word).syllables)
+    assert shortened > 500
 
 
 def test_classify_long_commuting_interleaving():
