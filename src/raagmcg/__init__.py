@@ -1,81 +1,10 @@
 """Syllable normal forms in right-angled Artin groups, the partial order
 on syllables, symbolic subsurface images, Thurston-type classification,
-and quasi-isometry lower-bound certificates."""
+and quasi-isometry lower-bound certificates.
 
-from .defining_graph import DefiningGraph
-from .errors import (
-    CapExceeded,
-    DanglingEdge,
-    DisjointnessMismatch,
-    DuplicateVertex,
-    InvalidConstants,
-    MalformedGraph,
-    MalformedRealization,
-    MoveNotApplicable,
-    NestingDetected,
-    NotCyclicallyReduced,
-    NotFilling,
-    RaagError,
-    SearchBudgetExceeded,
-    SelfLoop,
-    ShiftMapUndefined,
-    UnknownVertex,
-)
-from .words import (
-    DEFAULT_CAP,
-    Syllable,
-    Word,
-    apply_move,
-    concatenated_power,
-    empty_word,
-    equal_elements,
-    in_special_subgroup,
-    invert,
-    is_minimal,
-    minimal_representatives,
-    multiply,
-    normalize,
-    oracle_min_syllables,
-    parse_word,
-    power,
-    word_from_pairs,
-)
-from .syllables import (
-    SyllableId,
-    SyllableOrder,
-    cyclically_reduce,
-    is_cyclically_reduced,
-    power_shift_map,
-    syllable_ids,
-    syllable_order,
-)
-from .realization import (
-    FillResult,
-    Realization,
-    Subsurface,
-    build_standard_realization,
-    fill,
-    validate_realization,
-)
-from .subsurface_map import (
-    Certificate,
-    CertificateEntry,
-    CheckResult,
-    Constants,
-    MappedSubsurface,
-    check_order_embedding,
-    check_representative_independence,
-    default_constants,
-    make_certificate,
-    syllable_subsurface_map,
-)
-from .classification import (
-    ClassificationReport,
-    ComponentReport,
-    classify,
-    translation_length_bound,
-    verify_power_properties,
-)
+``import raagmcg`` loads no submodule. The first access to a name in
+``__all__`` loads all seven and binds every public name at once.
+"""
 
 __version__ = "0.1.0"
 
@@ -132,6 +61,7 @@ __all__ = [
     "DanglingEdge",
     "DisjointnessMismatch",
     "DuplicateVertex",
+    "GraphMismatch",
     "InvalidConstants",
     "MalformedGraph",
     "MalformedRealization",
@@ -142,5 +72,25 @@ __all__ = [
     "SearchBudgetExceeded",
     "SelfLoop",
     "ShiftMapUndefined",
+    "UnknownCurve",
     "UnknownVertex",
 ]
+
+
+def __getattr__(name):
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import (
+        classification, defining_graph, errors, realization, subsurface_map, syllables, words,
+    )
+
+    namespace = globals()
+    for module in (errors, defining_graph, words, syllables, realization, subsurface_map,
+                   classification):
+        public = vars(module)
+        namespace.update((n, public[n]) for n in __all__ if n in public)
+    return namespace[name]
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotCyclicallyReduced, NotFilling
+from .errors import GraphMismatch, NotCyclicallyReduced, NotFilling
 from .realization import Realization, build_standard_realization, fill
 from .syllables import (
     cyclically_reduce,
@@ -100,7 +100,7 @@ def classify(word: Word, realization: Realization) -> ClassificationReport:
     disjoint union it restricts to the greedy pass of each part.
     """
     if word.graph != realization.graph:
-        raise ValueError("word and realization use different defining graphs")
+        raise GraphMismatch("word and realization use different defining graphs")
     canonical = normalize(word)
     reduced, conjugator = cyclically_reduce(canonical)
     support = sorted(reduced.support(), key=word.graph.index.get)

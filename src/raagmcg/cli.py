@@ -2,6 +2,10 @@
 
 Exit codes: 0 on success, 1 on domain errors (with a machine-readable
 error JSON on stdout), 2 on usage errors.
+
+A one-shot call pays only for its own command: each command imports the
+modules it calls, and the parser gives arguments only to the subcommand
+that ``argv[0]`` names (to all of them when it names none).
 """
 
 from __future__ import annotations
@@ -11,20 +15,22 @@ import json
 import os
 import sys
 
-from .classification import classify, verify_power_properties
-from .defining_graph import DefiningGraph
-from .errors import RaagError
-from .realization import Realization, build_standard_realization, validate_realization
-from .subsurface_map import Constants, make_certificate
-from .syllables import cyclically_reduce, syllable_order
-from .words import (
-    minimal_representatives,
-    normalize,
-    oracle_min_syllables,
-    parse_word,
-)
+from .errors import GraphMismatch, RaagError
 
 ENV_CAP = "RAAGMCG_CAP"
+
+# name: (help, output formats, default format), in the order of --help.
+COMMANDS = {
+    "normalize": ("canonical minimal-syllable form", ["text", "json"], "text"),
+    "min-enum": ("all minimal representatives", ["text", "json"], "json"),
+    "order": ("syllable partial order", ["dot", "json"], "dot"),
+    "reduce": ("conjugacy-minimal form and conjugator", ["text", "json"], "json"),
+    "oracle": ("exhaustive minimal syllable count", ["text", "json"], "text"),
+    "realize": ("build or validate a realization", ["json", "dot"], "json"),
+    "classify": ("Thurston type report", ["json"], "json"),
+    "verify": ("brute-force checks of the power structure", ["json"], "json"),
+    "certify": ("quasi-isometry lower-bound certificate", ["json"], "json"),
+}
 
 
 def _cap(text: str) -> int:
@@ -51,19 +57,23 @@ def _number(text: str):
         return float(text)
 
 
-def _load_graph(path: str) -> DefiningGraph:
+def _load_graph(path: str):
+    from .defining_graph import DefiningGraph
+
     with open(path, "r", encoding="utf-8") as handle:
         return DefiningGraph.from_json(handle.read())
 
 
-def _load_realization(source: str, graph: DefiningGraph) -> Realization:
+def _load_realization(source: str, graph):
+    from .realization import Realization, build_standard_realization, validate_realization
+
     if source == "std":
         realization = build_standard_realization(graph)
     else:
         with open(source, "r", encoding="utf-8") as handle:
             realization = Realization.from_json(handle.read())
         if realization.graph != graph:
-            raise RaagError("realization graph differs from --graph")
+            raise GraphMismatch("realization graph differs from --graph")
     validate_realization(realization)
     return realization
 
@@ -78,7 +88,9 @@ def _emit_json(obj) -> None:
     _emit(json.dumps(obj, indent=2, allow_nan=False))
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand; only ``command``'s gets its
+    arguments, unless ``command`` names none, when all of them do."""
     parser = argparse.ArgumentParser(
         prog="raagmcg",
         description=(
@@ -88,39 +100,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cap = _default_cap(parser)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def word_command(name: str, help_text: str, formats: list[str], default_format: str):
+    for name, (help_text, formats, default_format) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        if command in COMMANDS and command != name:
+            continue
+        if name == "realize":
+            p.add_argument("--graph", required=True)
+            p.add_argument(
+                "--realization", default="std", help='"std" or a path to a realization JSON'
+            )
+            p.add_argument("--format", choices=formats, default=default_format)
+            continue
         p.add_argument("--graph", required=True, help="path to a graph JSON file")
         p.add_argument("--word", required=True, help="word in the token grammar")
         p.add_argument("--min-cap", type=_cap, default=cap, dest="min_cap")
         p.add_argument("--search-cap", type=_cap, default=cap, dest="search_cap")
         p.add_argument("--format", choices=formats, default=default_format)
-        return p
-
-    word_command("normalize", "canonical minimal-syllable form", ["text", "json"], "text")
-    word_command("min-enum", "all minimal representatives", ["text", "json"], "json")
-    word_command("order", "syllable partial order", ["dot", "json"], "dot")
-    word_command("reduce", "conjugacy-minimal form and conjugator", ["text", "json"], "json")
-    word_command("oracle", "exhaustive minimal syllable count", ["text", "json"], "text")
-
-    p = sub.add_parser("realize", help="build or validate a realization")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--realization", default="std", help='"std" or a path to a realization JSON')
-    p.add_argument("--format", choices=["json", "dot"], default="json")
-
-    p = word_command("classify", "Thurston type report", ["json"], "json")
-    p.add_argument("--realization", default="std")
-
-    p = word_command("verify", "brute-force checks of the power structure", ["json"], "json")
-    p.add_argument("--realization", default="std")
-
-    p = word_command("certify", "quasi-isometry lower-bound certificate", ["json"], "json")
-    p.add_argument("--k0", type=_number, default=10)
-    p.add_argument("--d", type=_number, default=6)
-    p.add_argument("--a", type=_number, default=2)
-    p.add_argument("--b", type=_number, default=10)
-    p.add_argument("--k", type=_number, default=None, help="explicit K override")
+        if name in ("classify", "verify"):
+            p.add_argument("--realization", default="std")
+        elif name == "certify":
+            p.add_argument("--k0", type=_number, default=10)
+            p.add_argument("--d", type=_number, default=6)
+            p.add_argument("--a", type=_number, default=2)
+            p.add_argument("--b", type=_number, default=10)
+            p.add_argument("--k", type=_number, default=None, help="explicit K override")
     return parser
 
 
@@ -134,6 +137,8 @@ def run(args: argparse.Namespace) -> int:
         else:
             _emit_json(realization.to_json_dict())
         return 0
+
+    from .words import minimal_representatives, normalize, oracle_min_syllables, parse_word
 
     word = parse_word(args.word, graph)
     if command == "normalize":
@@ -152,12 +157,16 @@ def run(args: argparse.Namespace) -> int:
         else:
             _emit("\n".join(str(r) for r in reps))
     elif command == "order":
+        from .syllables import syllable_order
+
         order = syllable_order(word)
         if args.format == "json":
             _emit_json(order.to_json_dict())
         else:
             _emit(order.to_dot())
     elif command == "reduce":
+        from .syllables import cyclically_reduce
+
         reduced, conjugator = cyclically_reduce(word)
         if args.format == "json":
             _emit_json(
@@ -172,16 +181,22 @@ def run(args: argparse.Namespace) -> int:
         else:
             _emit(str(count))
     elif command == "classify":
+        from .classification import classify
+
         realization = _load_realization(args.realization, graph)
         report = classify(word, realization)
         _emit_json(report.to_json_dict())
     elif command == "verify":
+        from .classification import verify_power_properties
+
         realization = _load_realization(args.realization, graph)
         report = verify_power_properties(
             word, realization=realization, oracle_budget=args.search_cap
         )
         _emit_json({"word": str(normalize(word)), "checks": report})
     elif command == "certify":
+        from .subsurface_map import Constants, make_certificate
+
         constants = Constants.create(
             graph, k0=args.k0, d=args.d, a=args.a, b=args.b, k=args.k
         )
@@ -193,8 +208,8 @@ def run(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return run(args)
     except RaagError as err:

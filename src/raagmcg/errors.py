@@ -43,6 +43,15 @@ class UnknownVertex(RaagError):
     pass
 
 
+class UnknownCurve(RaagError):
+    pass
+
+
+class GraphMismatch(RaagError, ValueError):
+    """Raised when objects over different defining graphs meet.  It is a
+    ValueError too, so ``except ValueError`` callers keep catching it."""
+
+
 class MoveNotApplicable(RaagError):
     pass
 

@@ -33,6 +33,7 @@ from .errors import (
     DuplicateVertex,
     MalformedRealization,
     NestingDetected,
+    UnknownCurve,
     UnknownVertex,
 )
 
@@ -61,7 +62,12 @@ class Realization:
 
     def subsurface_for(self, vertex: str) -> Subsurface:
         self.graph.require_vertex(vertex)
-        return self._by_vertex[vertex]
+        try:
+            return self._by_vertex[vertex]
+        except KeyError:
+            raise UnknownVertex(
+                f"no subsurface declared for vertex {vertex!r}", label=vertex
+            ) from None
 
     @cached_property
     def _by_vertex(self) -> dict[str, Subsurface]:
@@ -193,7 +199,7 @@ def validate_realization(realization: Realization) -> None:
         seen_vertices.add(x.vertex)
         unknown = (x.intersects | {x.core}) - curve_set
         if unknown:
-            raise UnknownVertex(
+            raise UnknownCurve(
                 f"subsurface {x.label} meets undeclared curves {sorted(unknown)}",
                 label=x.label,
             )

@@ -216,8 +216,14 @@ class Constants:
     ) -> "Constants":
         for name, value in (("K0", k0), ("D", d), ("A", a), ("B", b)):
             _check_number(name, value)
+        try:
+            k_sum = k0 + 20 + 2 * d
+        except OverflowError:  # an int too large for a float met a float
+            raise InvalidConstants(
+                "K0 + 20 + 2*D is out of floating-point range", field="K"
+            ) from None
         if k is None:
-            k = k0 + 20 + 2 * d
+            k = k_sum
         _check_number("K", k)
         if c is None:
             c = 2 * k

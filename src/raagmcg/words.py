@@ -36,7 +36,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .defining_graph import DefiningGraph
-from .errors import CapExceeded, MoveNotApplicable, SearchBudgetExceeded, UnknownVertex
+from .errors import (
+    CapExceeded, GraphMismatch, MoveNotApplicable, SearchBudgetExceeded, UnknownVertex,
+)
 
 DEFAULT_CAP = 100_000
 
@@ -266,7 +268,7 @@ def in_special_subgroup(u: Word, generators: Iterable[str]) -> bool:
 
 def _require_same_graph(u: Word, v: Word) -> None:
     if u.graph != v.graph:
-        raise ValueError("words live over different defining graphs")
+        raise GraphMismatch("words live over different defining graphs")
 
 
 # -- the three moves, literally ------------------------------------------

@@ -170,3 +170,13 @@ def test_classify_rejects_foreign_graph(pentagon, pentagon_realization):
     other = DefiningGraph.from_data("ab", [])
     with pytest.raises(ValueError):
         classify(w("a", other), pentagon_realization)
+
+
+def test_foreign_graph_is_graph_mismatch(pentagon, pentagon_realization):
+    from raagmcg import DefiningGraph, GraphMismatch
+
+    other = DefiningGraph.from_data("ab", [])
+    with pytest.raises(GraphMismatch) as err:
+        classify(w("a", other), pentagon_realization)
+    assert isinstance(err.value, ValueError)
+    assert err.value.message == "word and realization use different defining graphs"

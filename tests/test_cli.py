@@ -267,3 +267,54 @@ def test_cap_environment_sets_the_default(capsys, monkeypatch, pentagon_path):
     code, out = run_cli(capsys, "min-enum", "--graph", pentagon_path, "--word", "a b")
     assert code == 1
     assert json.loads(out)["details"] == {"cap": 1}
+
+
+@pytest.mark.parametrize("command", ["realize", "classify", "verify"])
+def test_realization_over_another_graph_is_graph_mismatch(
+    capsys, tmp_path, pentagon_path, command
+):
+    from raagmcg import DefiningGraph, build_standard_realization
+
+    path = tmp_path / "real.json"
+    path.write_text(build_standard_realization(DefiningGraph.from_data("ab", [])).to_json())
+    argv = [command, "--graph", pentagon_path, "--realization", str(path)]
+    if command != "realize":
+        argv += ["--word", "a"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "GraphMismatch",
+        "message": "realization graph differs from --graph",
+        "details": {},
+    }
+
+
+def test_undeclared_curve_is_machine_readable(
+    capsys, tmp_path, pentagon_path, pentagon_realization
+):
+    payload = pentagon_realization.to_json_dict()
+    payload["subsurfaces"][1]["intersects"].append("delta")
+    path = tmp_path / "real.json"
+    path.write_text(json.dumps(payload))
+    code, out = run_cli(capsys, "realize", "--graph", pentagon_path, "--realization", str(path))
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "UnknownCurve",
+        "message": "subsurface X_b meets undeclared curves ['delta']",
+        "details": {"label": "X_b"},
+    }
+
+
+@pytest.mark.parametrize("flags", [
+    ["--k0", "1" + "0" * 400, "--d", "2.5"],
+    ["--k0", "2.5", "--d", "-1" + "0" * 400],
+    ["--k0", "1" + "0" * 400, "--d", "2.5", "--k", "42"],
+])
+def test_certify_rejects_constants_out_of_float_range(capsys, pentagon_path, flags):
+    code, out = run_cli(capsys, "certify", "--graph", pentagon_path, "--word", "a", *flags)
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "InvalidConstants",
+        "message": "K0 + 20 + 2*D is out of floating-point range",
+        "details": {"field": "K"},
+    }

@@ -169,3 +169,46 @@ def test_realization_json_round_trip(pentagon_realization):
     text = pentagon_realization.to_json()
     again = Realization.from_json(text)
     assert again == pentagon_realization
+
+
+def _without(realization, vertex):
+    subsurfaces = tuple(x for x in realization.subsurfaces if x.vertex != vertex)
+    return Realization(
+        realization.graph, subsurfaces, realization.reference_curves, "custom"
+    )
+
+
+def test_missing_subsurface_is_unknown_vertex(pentagon, pentagon_realization):
+    from raagmcg import classify, parse_word, verify_power_properties
+
+    partial = _without(pentagon_realization, "e")
+    word = parse_word("a c e b d", pentagon)
+    calls = (
+        lambda: partial.subsurface_for("e"),
+        lambda: fill(partial, ["a", "e"]),
+        lambda: classify(word, partial),
+        lambda: verify_power_properties(word, realization=partial),
+    )
+    for call in calls:
+        with pytest.raises(UnknownVertex) as err:
+            call()
+        assert err.value.details == {"label": "e"}
+        assert err.value.message == "no subsurface declared for vertex 'e'"
+    with pytest.raises(UnknownVertex):
+        validate_realization(partial)
+
+
+def test_undeclared_curve_is_unknown_curve(pentagon, pentagon_realization):
+    from raagmcg import UnknownCurve
+
+    x_a = pentagon_realization.subsurface_for("a")
+    stray = Subsurface(x_a.label, "a", x_a.core, x_a.intersects | {"delta"})
+    bad = Realization(
+        pentagon, (stray,) + pentagon_realization.subsurfaces[1:],
+        pentagon_realization.reference_curves, "custom",
+    )
+    with pytest.raises(UnknownCurve) as err:
+        validate_realization(bad)
+    assert not isinstance(err.value, UnknownVertex)
+    assert err.value.message == "subsurface X_a meets undeclared curves ['delta']"
+    assert err.value.details == {"label": "X_a"}

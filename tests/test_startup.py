@@ -1,0 +1,145 @@
+"""What a one-shot call loads: the package binds its public names on first
+use, each CLI command imports only the modules it calls, and the parser
+gives arguments only to the subcommand it runs."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import raagmcg
+from raagmcg import cli
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(raagmcg.__file__)))
+
+SUBMODULES = {
+    "errors", "defining_graph", "words", "syllables", "realization", "subsurface_map",
+    "classification",
+}
+BASE = {"errors", "defining_graph", "cli"}
+WORDS = BASE | {"words"}
+MODULES_BY_COMMAND = {
+    "normalize": WORDS,
+    "min-enum": WORDS,
+    "oracle": WORDS,
+    "order": WORDS | {"syllables"},
+    "reduce": WORDS | {"syllables"},
+    "realize": BASE | {"realization"},
+    "classify": WORDS | {"syllables", "realization", "classification"},
+    "verify": WORDS | {"syllables", "realization", "classification"},
+    "certify": WORDS | {"syllables", "subsurface_map"},
+}
+
+# Runs in a fresh interpreter and prints one JSON object: the submodules
+# loaded by ``import raagmcg``, the public names bound before and after the
+# first attribute access, and the submodules each command loads.  Between
+# commands the package is dropped from sys.modules, so each one starts cold.
+CHILD = """
+import contextlib, io, json, sys
+graph_path, commands = sys.argv[1], sys.argv[2:]
+
+def loaded():
+    return sorted(name[len("raagmcg."):] for name in sys.modules
+                  if name.startswith("raagmcg."))
+
+import raagmcg
+report = {"import": loaded(), "bound_before": sorted(set(raagmcg.__all__) & set(vars(raagmcg)))}
+raagmcg.DefiningGraph
+report["bound_after"] = sorted(set(raagmcg.__all__) & set(vars(raagmcg)))
+report["after_access"] = loaded()
+for command in commands:
+    for name in [name for name in sys.modules if name.split(".")[0] == "raagmcg"]:
+        del sys.modules[name]
+    from raagmcg.cli import main
+    argv = [command, "--graph", graph_path]
+    if command != "realize":
+        argv += ["--word", "a c e b d"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    report[command] = [code, loaded()]
+print(json.dumps(report))
+"""
+
+
+@pytest.fixture(scope="module")
+def child_report(tmp_path_factory, pentagon):
+    path = tmp_path_factory.mktemp("startup") / "pentagon.json"
+    path.write_text(pentagon.to_json())
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", CHILD, str(path), *MODULES_BY_COMMAND],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    return json.loads(out)
+
+
+def test_import_loads_no_submodule(child_report):
+    assert child_report["import"] == []
+    assert child_report["bound_before"] == []
+
+
+def test_first_access_binds_every_public_name(child_report):
+    assert child_report["bound_after"] == sorted(raagmcg.__all__)
+    assert set(child_report["after_access"]) == SUBMODULES
+
+
+@pytest.mark.parametrize("command", list(MODULES_BY_COMMAND))
+def test_command_loads_only_its_modules(child_report, command):
+    code, modules = child_report[command]
+    assert code == 0
+    assert set(modules) == MODULES_BY_COMMAND[command]
+
+
+def test_public_names_are_the_submodules_objects():
+    raagmcg.DefiningGraph
+    namespace = vars(raagmcg)
+    for name in raagmcg.__all__:
+        value = namespace[name]
+        home = sys.modules[getattr(value, "__module__", "raagmcg.words")]
+        assert getattr(home, name) is value, name
+
+
+def test_star_import_dir_and_unknown_names():
+    namespace = {}
+    exec("from raagmcg import *", namespace)
+    assert set(raagmcg.__all__) <= set(namespace)
+    assert set(raagmcg.__all__) <= set(dir(raagmcg))
+    assert "__version__" in dir(raagmcg)
+    with pytest.raises(AttributeError, match="nope"):
+        raagmcg.nope
+
+
+def _parse(parser, argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        parser.parse_args(argv)
+    captured = capsys.readouterr()
+    return err.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", list(MODULES_BY_COMMAND))
+def test_per_command_parser_prints_what_the_full_parser_prints(capsys, command):
+    missing = [command] if command == "realize" else [command, "--graph", "g.json"]
+    for argv in ([command, "--help"], missing):
+        full = _parse(cli.build_parser(), argv, capsys)
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert (err.value.code, captured.out, captured.err) == full
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"], ["--graph", "g.json"]])
+def test_top_level_usage_matches_the_full_parser(capsys, argv):
+    full = _parse(cli.build_parser(), argv, capsys)
+    assert _parse(cli.build_parser(argv[0] if argv else None), argv, capsys) == full
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch, tmp_path, pentagon):
+    path = tmp_path / "pentagon.json"
+    path.write_text(pentagon.to_json())
+    monkeypatch.setattr(
+        sys, "argv", ["raagmcg", "normalize", "--graph", str(path), "--word", "a b a^-1"]
+    )
+    assert cli.main() == 0
+    assert capsys.readouterr().out == "b\n"

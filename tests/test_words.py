@@ -244,3 +244,15 @@ def test_word_from_pairs(pentagon):
 def test_large_exponents_no_overflow(pentagon):
     word = word_from_pairs(pentagon, [("a", 10**30), ("c", 1)])
     assert power(word, 3).letter_length() == 3 * (10**30 + 1)
+
+
+def test_mixed_graphs_are_graph_mismatch(pentagon):
+    from raagmcg import DefiningGraph, GraphMismatch
+
+    other = DefiningGraph.from_data("ab", [])
+    for call in (multiply, equal_elements):
+        with pytest.raises(GraphMismatch) as err:
+            call(w("a", pentagon), w("a", other))
+        assert isinstance(err.value, ValueError)
+        assert err.value.message == "words live over different defining graphs"
+        assert err.value.details == {}
