@@ -65,6 +65,7 @@ __all__ = [
     "InvalidConstants",
     "MalformedGraph",
     "MalformedRealization",
+    "MalformedWord",
     "MoveNotApplicable",
     "NestingDetected",
     "NotCyclicallyReduced",

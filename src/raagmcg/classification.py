@@ -24,21 +24,8 @@ from fractions import Fraction
 
 from .errors import GraphMismatch, NotCyclicallyReduced, NotFilling
 from .realization import Realization, build_standard_realization, fill
-from .syllables import (
-    cyclically_reduce,
-    is_cyclically_reduced,
-    power_shift_map,
-    syllable_order,
-    _ids_of_sequence,
-)
-from .words import (
-    DEFAULT_CAP,
-    Word,
-    concatenated_power,
-    normalize,
-    oracle_min_syllables,
-    power,
-)
+from .syllables import _cyclically_reduce, _find_reduction, power_shift_map, syllable_order
+from .words import DEFAULT_CAP, Word, concatenated_power, normalize, oracle_min_syllables, power
 
 ASSUMPTIONS = ("tau_X(f_i) >= C for all i", "realization is nice")
 
@@ -102,7 +89,7 @@ def classify(word: Word, realization: Realization) -> ClassificationReport:
     if word.graph != realization.graph:
         raise GraphMismatch("word and realization use different defining graphs")
     canonical = normalize(word)
-    reduced, conjugator = cyclically_reduce(canonical)
+    reduced, conjugator = _cyclically_reduce(canonical)
     support = sorted(reduced.support(), key=word.graph.index.get)
     r = len(support)
     if r == 0:
@@ -172,7 +159,7 @@ def verify_power_properties(
     ``cap`` bounds nothing: no check here enumerates representatives.
     """
     canonical = normalize(word)
-    if not is_cyclically_reduced(canonical):
+    if _find_reduction(canonical) is not None:
         raise NotCyclicallyReduced("word is not conjugacy-minimal")
     graph = canonical.graph
     if realization is None:
@@ -233,9 +220,9 @@ def verify_power_properties(
         else {"status": FAIL, "note": f"powers {bad_powers} collapse"}
     )
 
-    square_order = syllable_order(power(canonical, 2))
+    square_order = syllable_order(concatenated_power(canonical, 2))
     shift_one = power_shift_map(canonical, 1, 2)
-    ids = _ids_of_sequence(canonical.syllables)
+    ids = list(shift_one)
     misses = [s.label() for s in ids if (s, shift_one[s]) not in square_order.precedes]
     report["square_precedence"] = (
         {"status": PASS, "note": "every syllable precedes its shifted copy"}
@@ -243,7 +230,7 @@ def verify_power_properties(
         else {"status": FAIL, "note": f"syllables {misses} do not precede their shifts"}
     )
 
-    high_order = syllable_order(power(canonical, r + 1))
+    high_order = syllable_order(concatenated_power(canonical, r + 1))
     shift_r = power_shift_map(canonical, 1, r + 1)
     miss_pairs = [
         (s.label(), t.label())

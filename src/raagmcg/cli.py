@@ -215,7 +215,7 @@ def main(argv=None) -> int:
     except RaagError as err:
         _emit_json(err.to_json_dict())
         return 1
-    except (OSError, ValueError, json.JSONDecodeError) as err:
+    except (OSError, ValueError) as err:
         _emit_json({"error": type(err).__name__, "message": str(err), "details": {}})
         return 1
 

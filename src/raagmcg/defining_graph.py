@@ -58,7 +58,13 @@ class DefiningGraph:
 
     @classmethod
     def from_json(cls, text: str) -> "DefiningGraph":
-        return cls.from_json_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as err:
+            raise MalformedGraph(
+                f"graph is not valid JSON: {err}", line=err.lineno, column=err.colno
+            ) from None
+        return cls.from_json_dict(data)
 
     def validate(self) -> None:
         """Re-check the construction invariants, raising on the first violation."""

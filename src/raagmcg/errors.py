@@ -47,6 +47,11 @@ class UnknownCurve(RaagError):
     pass
 
 
+class MalformedWord(RaagError, ValueError):
+    """Raised for a word token outside the grammar (details ``token``).  It
+    is a ValueError too, so ``except ValueError`` callers keep catching it."""
+
+
 class GraphMismatch(RaagError, ValueError):
     """Raised when objects over different defining graphs meet.  It is a
     ValueError too, so ``except ValueError`` callers keep catching it."""

@@ -122,7 +122,13 @@ class Realization:
 
     @classmethod
     def from_json(cls, text: str) -> "Realization":
-        return cls.from_json_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as err:
+            raise MalformedRealization(
+                f"realization is not valid JSON: {err}", line=err.lineno, column=err.colno
+            ) from None
+        return cls.from_json_dict(data)
 
 
 _STRINGS = "a list of strings"

@@ -10,11 +10,19 @@ by the star of the base vertex: generators commuting with the base fix
 its subsurface.
 
 Every prefix used here is the word on a down-set of the heap of the
-canonical word, so both are read off it without word arithmetic: the
-values take the first i canonical syllables as they stand, and the
-order-embedding check decides star-coset equality of two down-sets from
-the generators on their symmetric difference, one bitmask per base
-vertex.  ``MappedSubsurface.equivalent``, which multiplies out, and
+canonical word, so both are read off it without word arithmetic:
+
+  * the values take the first i canonical syllables as they stand, so
+    ``make_certificate`` builds them from the word it has normalized;
+  * the order-embedding check reads the syllable ids and the heap masks
+    off ``syllable_order``: the ids give each position's generator and
+    the support, and ``below[i] | below[j]`` is the union of two
+    down-sets;
+  * it decides star-coset equality of two down-sets from the generators
+    on their symmetric difference, with one mask per base vertex v, bit
+    p set when syllable p has its generator outside star(v).
+
+``MappedSubsurface.equivalent``, which multiplies out, and
 ``check_representative_independence``, which walks every minimal
 representative, stay as the references the tests compare against.
 
@@ -39,7 +47,7 @@ from typing import Mapping
 
 from .defining_graph import DefiningGraph
 from .errors import InvalidConstants
-from .syllables import SyllableId, _heap, _ids_of_sequence
+from .syllables import SyllableId, _ids_of_sequence, syllable_order
 from .words import (
     DEFAULT_CAP,
     Word,
@@ -81,10 +89,14 @@ def syllable_subsurface_map(word: Word) -> dict[SyllableId, MappedSubsurface]:
     minimal, and on it the greedy pass of ``normalize`` makes the same
     choice at every step as on the whole word, as a syllable movable to
     the front of the prefix is movable to the front of the word."""
-    canonical = normalize(word)
+    return _subsurface_map(normalize(word))
+
+
+def _subsurface_map(canonical: Word) -> dict[SyllableId, MappedSubsurface]:
+    # syllable_subsurface_map on a word that is already canonical.
     syllables = canonical.syllables
     return {
-        sid: MappedSubsurface(Word(syllables[:i], word.graph), s.generator)
+        sid: MappedSubsurface(Word(syllables[:i], canonical.graph), s.generator)
         for i, (sid, s) in enumerate(zip(_ids_of_sequence(syllables), syllables))
     }
 
@@ -99,9 +111,8 @@ def check_representative_independence(word: Word, cap: int = DEFAULT_CAP) -> Che
     """Recompute the syllable-to-subsurface values along every minimal
     representative and compare with the canonical values under star-coset
     equality.  Returns the first counterexample found, if any."""
-    canonical = normalize(word)
-    reference = syllable_subsurface_map(canonical)
-    for rep in minimal_representatives(canonical, cap):
+    reference = syllable_subsurface_map(word)
+    for rep in minimal_representatives(word, cap):
         ids = _ids_of_sequence(rep.syllables)
         prefix = empty_word(word.graph)
         for sid, syllable in zip(ids, rep.syllables):
@@ -138,13 +149,13 @@ def check_order_embedding(word: Word) -> CheckResult:
     Bit p of ``outside[v]`` marks syllable p as outside star(v), so each
     test is one mask operation and no prefix is multiplied out.
     """
-    canonical = normalize(word)
-    syllables = canonical.syllables
-    ids = _ids_of_sequence(syllables)
+    order = syllable_order(word)
+    ids, below = order.elements, order.below
+    graph = word.graph
     outside = {}
-    for v in canonical.support():
-        star = word.graph.star(v)
-        outside[v] = sum(1 << p for p, s in enumerate(syllables) if s.generator not in star)
+    for v in {s.generator for s in ids}:
+        star = graph.star(v)
+        outside[v] = sum(1 << p for p, s in enumerate(ids) if s.generator not in star)
     for i, s in enumerate(ids):
         for j, t in enumerate(ids[i + 1:], i + 1):
             v = s.generator
@@ -152,8 +163,6 @@ def check_order_embedding(word: Word) -> CheckResult:
                 return CheckResult(
                     False, f"{s.label()} and {t.label()} map to the same subsurface"
                 )
-    below = _heap(canonical)
-    graph = word.graph
     for i, s in enumerate(ids):
         for j, t in enumerate(ids[i + 1:], i + 1):
             if below[j] >> i & 1:
@@ -181,6 +190,16 @@ def _check_number(name: str, value) -> None:
         raise InvalidConstants(f"{name} must be a real number", field=name)
     if not -math.inf < value < math.inf:
         raise InvalidConstants(f"{name} must be finite (got {value})", field=name)
+
+
+def _k_sum(k0, d):
+    # K0 + 20 + 2*D, typed when an int too large for a float meets a float.
+    try:
+        return k0 + 20 + 2 * d
+    except OverflowError:
+        raise InvalidConstants(
+            "K0 + 20 + 2*D is out of floating-point range", field="K"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -216,14 +235,8 @@ class Constants:
     ) -> "Constants":
         for name, value in (("K0", k0), ("D", d), ("A", a), ("B", b)):
             _check_number(name, value)
-        try:
-            k_sum = k0 + 20 + 2 * d
-        except OverflowError:  # an int too large for a float met a float
-            raise InvalidConstants(
-                "K0 + 20 + 2*D is out of floating-point range", field="K"
-            ) from None
         if k is None:
-            k = k_sum
+            k = _k_sum(k0, d)
         _check_number("K", k)
         if c is None:
             c = 2 * k
@@ -236,10 +249,10 @@ class Constants:
     def validate(self, graph: DefiningGraph) -> None:
         if self.k < 20:
             raise InvalidConstants(f"K >= 20 violated (K = {self.k})", field="K")
-        if self.k != self.k0 + 20 + 2 * self.d:
+        k_sum = _k_sum(self.k0, self.d)
+        if self.k != k_sum:
             raise InvalidConstants(
-                f"K must equal K0 + 20 + 2*D (got K = {self.k}, "
-                f"K0 + 20 + 2*D = {self.k0 + 20 + 2 * self.d})",
+                f"K must equal K0 + 20 + 2*D (got K = {self.k}, K0 + 20 + 2*D = {k_sum})",
                 field="K",
             )
         if self.k0 <= 0:
@@ -327,7 +340,7 @@ def make_certificate(word: Word, constants: Constants) -> Certificate:
     """
     constants.validate(word.graph)
     canonical = normalize(word)
-    assignment = syllable_subsurface_map(canonical)
+    assignment = _subsurface_map(canonical)
     entries = tuple(
         CertificateEntry(sid, sub, constants.k * abs(sid.exponent))
         for sid, sub in assignment.items()

@@ -7,20 +7,32 @@ a chain of syllables with equal or non-commuting generators leads from i
 up to j (Cartier-Foata 1969; Viennot, "Heaps of pieces", 1986).  The
 minimal words are its linear extensions, in which equal generators never
 pass each other, so (generator, exponent, occurrence rank) names a
-syllable in all of them.  Its minimal and maximal syllables are the
-ones that can be moved to the front and to the back, so cyclic
-reduction reads each step off the heap as well: a minimal and a
-different maximal syllable with one generator merge when one of them is
-conjugated around the word, and no trial conjugate is computed.
+syllable in all of them.  ``_heap`` is the one place that builds it: one
+int mask per syllable, bit i of ``below[j]`` set when syllable i lies
+below syllable j.  ``SyllableOrder`` keeps those masks as they are:
+
+  * the order is the masks, and its pair set is built only when read;
+  * the Hasse edges of j are ``below[j]`` minus the masks of the
+    syllables in it;
+  * the minimal syllables have an empty mask, and the maximal ones are
+    in no mask; they can be moved to the front and to the back.
+
+So cyclic reduction reads each step off the heap as well: a minimal and
+a different maximal syllable with one generator merge when one of them
+is conjugated around the word, and no trial conjugate is computed.
+
+Each public function normalizes its input once; the module-private
+bodies behind them take a word that is already canonical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .errors import NotCyclicallyReduced, ShiftMapUndefined
-from .words import Syllable, Word, empty_word, multiply, normalize, power
+from .words import Syllable, Word, normalize, power
 
 
 @dataclass(frozen=True, order=True)
@@ -55,10 +67,20 @@ def syllable_ids(word: Word) -> tuple[SyllableId, ...]:
 @dataclass(frozen=True)
 class SyllableOrder:
     """The strict partial order: s precedes t iff s comes before t in
-    every minimal representative."""
+    every minimal representative.  It is kept as the heap: bit i of
+    ``below[j]`` is set when ``elements[i]`` precedes ``elements[j]``."""
 
     elements: tuple[SyllableId, ...]
-    precedes: frozenset[tuple[SyllableId, SyllableId]]
+    below: tuple[int, ...]
+
+    @cached_property
+    def precedes(self) -> frozenset[tuple[SyllableId, SyllableId]]:
+        """The order as a set of (lower, upper) pairs, built when first read."""
+        ids = self.elements
+        return frozenset(
+            [(ids[i], ids[j]) for j, mask in enumerate(self.below)
+             for i in range(j) if mask >> i & 1]
+        )
 
     def comparable(self, s: SyllableId, t: SyllableId) -> bool:
         return (s, t) in self.precedes or (t, s) in self.precedes
@@ -66,11 +88,7 @@ class SyllableOrder:
     def covering_pairs(self) -> list[tuple[SyllableId, SyllableId]]:
         """Transitive reduction: the Hasse diagram edges, ordered by the
         positions of their ends in ``elements``."""
-        ids = self.elements
-        pos = {sid: i for i, sid in enumerate(ids)}
-        below = [0] * len(ids)
-        for s, t in self.precedes:
-            below[pos[t]] |= 1 << pos[s]
+        below = self.below
         covers = []
         for mask in below:
             through = 0  # everything below something below this element
@@ -78,6 +96,7 @@ class SyllableOrder:
                 if mask >> i & 1:
                     through |= lower
             covers.append(mask & ~through)
+        ids = self.elements
         return [(s, t) for i, s in enumerate(ids) for t, c in zip(ids, covers) if c >> i & 1]
 
     def to_json_dict(self) -> dict:
@@ -114,13 +133,7 @@ def syllable_order(word: Word) -> SyllableOrder:
     """The heap of the canonical form: s precedes t iff s comes before t
     in every minimal representative."""
     canonical = normalize(word)
-    ids = tuple(_ids_of_sequence(canonical.syllables))
-    below = _heap(canonical)
-    k = len(ids)
-    precedes = frozenset(
-        [(ids[i], ids[j]) for j in range(k) for i in range(j) if below[j] >> i & 1]
-    )
-    return SyllableOrder(ids, precedes)
+    return SyllableOrder(tuple(_ids_of_sequence(canonical.syllables)), tuple(_heap(canonical)))
 
 
 # -- shift maps between powers ---------------------------------------------
@@ -139,7 +152,7 @@ def power_shift_map(word: Word, m: int, n: int) -> dict[SyllableId, SyllableId]:
     if not 1 <= m < n:
         raise ValueError("need 1 <= m < n")
     w = normalize(word)
-    if not is_cyclically_reduced(w):
+    if _find_reduction(w) is not None:
         raise NotCyclicallyReduced("word is not conjugacy-minimal")
     support = sorted(w.support(), key=w.graph.index.get)
     if len(support) < 2:
@@ -168,7 +181,7 @@ def power_shift_map(word: Word, m: int, n: int) -> dict[SyllableId, SyllableId]:
 # -- cyclic reduction --------------------------------------------------------
 
 
-def _find_reduction(current: Word) -> tuple[Word, Word] | None:
+def _find_reduction(current: Word) -> tuple[Word, Syllable] | None:
     # The first strict decrease as (shorter conjugate, factor) with
     # current = factor * shorter * factor^-1; see cyclically_reduce.
     syllables = list(current.syllables)
@@ -187,7 +200,7 @@ def _find_reduction(current: Word) -> tuple[Word, Word] | None:
     syllables[target] = Syllable(s.generator, syllables[target].exponent + s.exponent)
     del syllables[moved]
     factor = s if moved == 0 else Syllable(s.generator, -s.exponent)
-    return normalize(Word(tuple(syllables), current.graph)), Word((factor,), current.graph)
+    return normalize(Word(tuple(syllables), current.graph)), factor
 
 
 def cyclically_reduce(word: Word) -> tuple[Word, Word]:
@@ -222,7 +235,8 @@ def cyclically_reduce(word: Word) -> tuple[Word, Word]:
     whose exponent sums to zero, too: it is maximal or minimal itself.
     Without a partner the moved syllable is blocked before it meets its
     generator, and the count stays.  The merged list is normalized once
-    per round.
+    per round; the conjugator, the product of the rounds' factors, once
+    at the end.
 
     The fixed point is conjugacy-minimal: no generator labels a minimal
     and a different maximal syllable, so it is cyclically reduced, and
@@ -233,14 +247,16 @@ def cyclically_reduce(word: Word) -> tuple[Word, Word]:
     The rounds only shorten and always stop at a fixed point, so no
     conjugate has fewer syllables.
     """
-    current = normalize(word)
-    conjugator = empty_word(word.graph)
-    while True:
-        found = _find_reduction(current)
-        if found is None:
-            return current, conjugator
+    return _cyclically_reduce(normalize(word))
+
+
+def _cyclically_reduce(current: Word) -> tuple[Word, Word]:
+    # cyclically_reduce on a word that is already canonical.
+    factors = []
+    while (found := _find_reduction(current)) is not None:
         current, factor = found
-        conjugator = multiply(conjugator, factor)
+        factors.append(factor)
+    return current, normalize(Word(tuple(factors), current.graph))
 
 
 def is_cyclically_reduced(word: Word) -> bool:

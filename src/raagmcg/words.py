@@ -31,16 +31,20 @@ overflow.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .defining_graph import DefiningGraph
 from .errors import (
-    CapExceeded, GraphMismatch, MoveNotApplicable, SearchBudgetExceeded, UnknownVertex,
+    CapExceeded, GraphMismatch, MalformedWord, MoveNotApplicable, SearchBudgetExceeded,
+    UnknownVertex,
 )
 
 DEFAULT_CAP = 100_000
+
+_EXPONENT = re.compile(r"-?[0-9]+")
 
 Pair = tuple[int, int]  # (vertex index, exponent)
 
@@ -116,7 +120,9 @@ def word_from_pairs(graph: DefiningGraph, pairs: Iterable[tuple[str, int]]) -> W
 
 def parse_word(text: str, graph: DefiningGraph, keep_zero_exponents: bool = False) -> Word:
     """Parse the word grammar: whitespace-separated ``name`` or ``name^k``
-    tokens, ``a^-2`` meaning a^(-2); the empty string is the identity.
+    tokens, k an ASCII integer ``-?[0-9]+`` and ``a^-2`` meaning a^(-2);
+    the empty string is the identity.  A token outside the grammar raises
+    MalformedWord.
 
     Zero exponents are dropped during parsing (move (1)) unless
     ``keep_zero_exponents`` is set.
@@ -125,14 +131,10 @@ def parse_word(text: str, graph: DefiningGraph, keep_zero_exponents: bool = Fals
     for token in text.split():
         name, sep, exp_text = token.partition("^")
         if not name:
-            raise ValueError(f"malformed token {token!r}")
-        if sep:
-            try:
-                exp = int(exp_text)
-            except ValueError:
-                raise ValueError(f"malformed exponent in token {token!r}") from None
-        else:
-            exp = 1
+            raise MalformedWord(f"malformed token {token!r}", token=token)
+        if sep and not _EXPONENT.fullmatch(exp_text):
+            raise MalformedWord(f"malformed exponent in token {token!r}", token=token)
+        exp = int(exp_text) if sep else 1
         if name not in graph.index:
             raise UnknownVertex(f"unknown generator {name!r}", label=name)
         if exp == 0 and not keep_zero_exponents:

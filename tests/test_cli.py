@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from raagmcg import Realization
+from raagmcg import MalformedWord, Realization, parse_word
 from raagmcg.cli import main
 
 
@@ -180,6 +180,34 @@ def test_malformed_graph_is_machine_readable(capsys, tmp_path, payload, key):
     data = json.loads(out)
     assert data["error"] == "MalformedGraph"
     assert data["details"].get("key") == key
+
+
+@pytest.mark.parametrize("token", ["^", "a^", "a^1.5", "a^٣", "a^２", "a^1_0", "a^+2"])
+def test_malformed_word_token_is_machine_readable(capsys, pentagon, pentagon_path, token):
+    # The exponent grammar is ASCII -?[0-9]+, not whatever int() accepts.
+    with pytest.raises(MalformedWord) as err:
+        parse_word(f"b {token} c", pentagon)
+    assert isinstance(err.value, ValueError)
+    assert err.value.details == {"token": token}
+    code, out = run_cli(capsys, "normalize", "--graph", pentagon_path, "--word", f"b {token} c")
+    assert code == 1
+    assert json.loads(out) == err.value.to_json_dict()
+
+
+@pytest.mark.parametrize("which, error", [
+    ("graph", "MalformedGraph"), ("realization", "MalformedRealization"),
+])
+def test_unparsable_json_file_is_machine_readable(capsys, tmp_path, pentagon_path, which, error):
+    path = tmp_path / "broken.json"
+    path.write_text('{"vertices": ["a"],\n  oops}')
+    graph = str(path) if which == "graph" else pentagon_path
+    code, out = run_cli(
+        capsys, "classify", "--graph", graph, "--realization", str(path), "--word", "a",
+    )
+    assert code == 1
+    data = json.loads(out)
+    assert data["error"] == error
+    assert data["details"] == {"line": 2, "column": 3}
 
 
 def test_min_cap_bounds_only_min_enum(capsys, pentagon_path):

@@ -1,0 +1,74 @@
+"""Each public entry point above ``words`` normalizes its input once and
+reads every later fact off that canonical word and its heap.
+
+``_normalize_pairs`` is the one routine behind ``normalize``,
+``multiply``, ``invert`` and ``power``, so counting its calls counts every
+normal form computed.  Cyclic reduction normalizes once more per round,
+for the shorter conjugate, and at most once for the conjugator."""
+
+import pytest
+
+import raagmcg.syllables as syllables
+import raagmcg.words as words
+from raagmcg import (
+    build_standard_realization,
+    check_order_embedding,
+    classify,
+    cyclically_reduce,
+    default_constants,
+    make_certificate,
+    parse_word,
+    syllable_order,
+)
+
+# The pentagon's filling word, and a conjugate u (a c e b d) u^-1 by a walk
+# of the complement cycle, which takes three rounds to reduce.
+WORDS = ["a c e b d", "d b e a c e b d e^-1 b^-1 d^-1"]
+
+
+@pytest.fixture()
+def counted(monkeypatch):
+    """Run a call and return (normal forms computed, reduction rounds)."""
+    normalize_pairs, find_reduction = words._normalize_pairs, syllables._find_reduction
+    counts = {}
+
+    def normal_form(*args):
+        counts["normal forms"] += 1
+        return normalize_pairs(*args)
+
+    def reduction_round(current):
+        found = find_reduction(current)
+        counts["rounds"] += found is not None
+        return found
+
+    monkeypatch.setattr(words, "_normalize_pairs", normal_form)
+    monkeypatch.setattr(syllables, "_find_reduction", reduction_round)
+
+    def run(call):
+        counts.update({"normal forms": 0, "rounds": 0})
+        call()
+        return counts["normal forms"], counts["rounds"]
+
+    return run
+
+
+@pytest.mark.parametrize("text", WORDS)
+def test_order_embedding_and_certificate_normalize_once(counted, pentagon, text):
+    word = parse_word(text, pentagon)
+    constants = default_constants(pentagon)
+    for call in (
+        lambda: syllable_order(word),
+        lambda: check_order_embedding(word),
+        lambda: make_certificate(word, constants),
+    ):
+        assert counted(call) == (1, 0)
+
+
+@pytest.mark.parametrize("text", WORDS)
+def test_reduction_normalizes_once_plus_once_per_round(counted, pentagon, text):
+    word = parse_word(text, pentagon)
+    realization = build_standard_realization(pentagon)
+    for call in (lambda: cyclically_reduce(word), lambda: classify(word, realization)):
+        normal_forms, rounds = counted(call)
+        assert rounds == (0 if text == "a c e b d" else 3)
+        assert 1 + rounds <= normal_forms <= 1 + rounds + 1

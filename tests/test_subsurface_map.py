@@ -159,6 +159,17 @@ def test_constants_reject_bad_shape(pentagon):
         Constants.create(pentagon, k0=0, d=6)
 
 
+def test_hand_built_constants_out_of_float_range_are_typed(pentagon):
+    # K0 + 20 + 2*D mixes an int too large for a float with a float; only
+    # validate sees it, as the pack never went through Constants.create.
+    constants = Constants(
+        k0=10**400, d=2.5, k=42, c=84, a=2, b=10, tau={v: 84 for v in pentagon.vertices}
+    )
+    with pytest.raises(InvalidConstants) as err:
+        make_certificate(w("a c", pentagon), constants)
+    assert err.value.details == {"field": "K"}
+
+
 def test_certificate_arithmetic(pentagon):
     constants = default_constants(pentagon)
     certificate = make_certificate(w("a^2 c^-1", pentagon), constants)

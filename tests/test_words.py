@@ -52,6 +52,11 @@ def test_parse_drops_zero_exponents(pentagon):
     assert raw.syllables[0].exponent == 0
 
 
+def test_exponents_are_ascii_integers(pentagon):
+    word = parse_word("a^-0 b^007 c^-12 d^" + "9" * 30, pentagon)
+    assert str(word) == "b^7 c^-12 d^" + "9" * 30
+
+
 def test_parse_rejects_garbage(pentagon):
     with pytest.raises(ValueError):
         parse_word("a^x", pentagon)
