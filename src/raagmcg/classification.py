@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import GraphMismatch, NotCyclicallyReduced, NotFilling
 from .realization import Realization, build_standard_realization, fill
-from .syllables import _cyclically_reduce, _find_reduction, power_shift_map, syllable_order
+from .syllables import cyclically_reduce, is_cyclically_reduced, power_shift_map, syllable_order
 from .words import DEFAULT_CAP, Word, concatenated_power, normalize, oracle_min_syllables, power
 
 ASSUMPTIONS = ("tau_X(f_i) >= C for all i", "realization is nice")
@@ -89,7 +89,7 @@ def classify(word: Word, realization: Realization) -> ClassificationReport:
     if word.graph != realization.graph:
         raise GraphMismatch("word and realization use different defining graphs")
     canonical = normalize(word)
-    reduced, conjugator = _cyclically_reduce(canonical)
+    reduced, conjugator = cyclically_reduce(canonical)
     support = sorted(reduced.support(), key=word.graph.index.get)
     r = len(support)
     if r == 0:
@@ -159,7 +159,7 @@ def verify_power_properties(
     ``cap`` bounds nothing: no check here enumerates representatives.
     """
     canonical = normalize(word)
-    if _find_reduction(canonical) is not None:
+    if not is_cyclically_reduced(canonical):
         raise NotCyclicallyReduced("word is not conjugacy-minimal")
     graph = canonical.graph
     if realization is None:
@@ -209,10 +209,12 @@ def verify_power_properties(
         return report
 
     k = len(canonical.syllables)
+    checked = range(2, max_power + 1)
+    powers = {n: power(canonical, n) for n in {*checked, 2, r + 1}}
     bad_powers = []
-    for n in range(2, max_power + 1):
+    for n in checked:
         found = oracle_min_syllables(concatenated_power(canonical, n), oracle_budget)
-        if found != n * k or len(power(canonical, n).syllables) != n * k:
+        if found != n * k or len(powers[n].syllables) != n * k:
             bad_powers.append(n)
     report["power_minimality"] = (
         {"status": PASS, "note": f"powers 2..{max_power} stay minimal"}
@@ -220,7 +222,7 @@ def verify_power_properties(
         else {"status": FAIL, "note": f"powers {bad_powers} collapse"}
     )
 
-    square_order = syllable_order(concatenated_power(canonical, 2))
+    square_order = syllable_order(powers[2])
     shift_one = power_shift_map(canonical, 1, 2)
     ids = list(shift_one)
     misses = [s.label() for s in ids if (s, shift_one[s]) not in square_order.precedes]
@@ -230,7 +232,7 @@ def verify_power_properties(
         else {"status": FAIL, "note": f"syllables {misses} do not precede their shifts"}
     )
 
-    high_order = syllable_order(concatenated_power(canonical, r + 1))
+    high_order = syllable_order(powers[r + 1])
     shift_r = power_shift_map(canonical, 1, r + 1)
     miss_pairs = [
         (s.label(), t.label())

@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .errors import GraphMismatch, RaagError
+from .errors import GraphMismatch, MalformedGraph, MalformedRealization, RaagError
 
 ENV_CAP = "RAAGMCG_CAP"
 
@@ -57,11 +57,20 @@ def _number(text: str):
         return float(text)
 
 
+def _read(path: str, error: type[RaagError], kind: str) -> str:
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as err:
+            raise error(
+                f"{kind} file is not UTF-8: {err.reason} at byte {err.start}", offset=err.start
+            ) from None
+
+
 def _load_graph(path: str):
     from .defining_graph import DefiningGraph
 
-    with open(path, "r", encoding="utf-8") as handle:
-        return DefiningGraph.from_json(handle.read())
+    return DefiningGraph.from_json(_read(path, MalformedGraph, "graph"))
 
 
 def _load_realization(source: str, graph):
@@ -70,8 +79,7 @@ def _load_realization(source: str, graph):
     if source == "std":
         realization = build_standard_realization(graph)
     else:
-        with open(source, "r", encoding="utf-8") as handle:
-            realization = Realization.from_json(handle.read())
+        realization = Realization.from_json(_read(source, MalformedRealization, "realization"))
         if realization.graph != graph:
             raise GraphMismatch("realization graph differs from --graph")
     validate_realization(realization)

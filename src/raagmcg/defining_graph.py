@@ -43,10 +43,14 @@ class DefiningGraph:
                 raise MalformedGraph(f"graph JSON needs a list under {key!r}", key=key)
         for vertex in data["vertices"]:
             if not isinstance(vertex, str) or any(c.isspace() or c in "^#" for c in vertex):
-                raise MalformedGraph(
-                    f"graph vertex {vertex!r} is not a string without whitespace, '^' or '#'",
-                    key="vertices", vertex=vertex,
-                )
+                reason = "is not a string without whitespace, '^' or '#'"
+            elif '"' in vertex or "\\" in vertex:
+                reason = "holds '\"' or '\\', which DOT output cannot quote"
+            else:
+                continue
+            raise MalformedGraph(
+                f"graph vertex {vertex!r} {reason}", key="vertices", vertex=vertex
+            )
         for edge in data["edges"]:
             if not (isinstance(edge, list) and len(edge) == 2
                     and all(isinstance(v, str) for v in edge)):

@@ -12,8 +12,9 @@ its subsurface.
 Every prefix used here is the word on a down-set of the heap of the
 canonical word, so both are read off it without word arithmetic:
 
-  * the values take the first i canonical syllables as they stand, so
-    ``make_certificate`` builds them from the word it has normalized;
+  * the values take the first i canonical syllables as they stand;
+    ``make_certificate`` passes on the word it has normalized, which
+    ``normalize`` returns as it is, so no normal form is computed twice;
   * the order-embedding check reads the syllable ids and the heap masks
     off ``syllable_order``: the ids give each position's generator and
     the support, and ``below[i] | below[j]`` is the union of two
@@ -47,7 +48,7 @@ from typing import Mapping
 
 from .defining_graph import DefiningGraph
 from .errors import InvalidConstants
-from .syllables import SyllableId, _ids_of_sequence, syllable_order
+from .syllables import SyllableId, _ids_of_sequence, syllable_ids, syllable_order
 from .words import (
     DEFAULT_CAP,
     Word,
@@ -89,15 +90,11 @@ def syllable_subsurface_map(word: Word) -> dict[SyllableId, MappedSubsurface]:
     minimal, and on it the greedy pass of ``normalize`` makes the same
     choice at every step as on the whole word, as a syllable movable to
     the front of the prefix is movable to the front of the word."""
-    return _subsurface_map(normalize(word))
-
-
-def _subsurface_map(canonical: Word) -> dict[SyllableId, MappedSubsurface]:
-    # syllable_subsurface_map on a word that is already canonical.
+    canonical = normalize(word)
     syllables = canonical.syllables
     return {
         sid: MappedSubsurface(Word(syllables[:i], canonical.graph), s.generator)
-        for i, (sid, s) in enumerate(zip(_ids_of_sequence(syllables), syllables))
+        for i, (sid, s) in enumerate(zip(syllable_ids(canonical), syllables))
     }
 
 
@@ -340,7 +337,7 @@ def make_certificate(word: Word, constants: Constants) -> Certificate:
     """
     constants.validate(word.graph)
     canonical = normalize(word)
-    assignment = _subsurface_map(canonical)
+    assignment = syllable_subsurface_map(canonical)
     entries = tuple(
         CertificateEntry(sid, sub, constants.k * abs(sid.exponent))
         for sid, sub in assignment.items()

@@ -21,8 +21,10 @@ So cyclic reduction reads each step off the heap as well: a minimal and
 a different maximal syllable with one generator merge when one of them
 is conjugated around the word, and no trial conjugate is computed.
 
-Each public function normalizes its input once; the module-private
-bodies behind them take a word that is already canonical.
+Each public function normalizes its input, and ``normalize`` returns a
+canonical word as it is: a caller passes on the word it has normalized,
+and no normal form is computed twice.  ``_heap`` and ``_find_reduction``
+take a canonical word.
 """
 
 from __future__ import annotations
@@ -133,7 +135,7 @@ def syllable_order(word: Word) -> SyllableOrder:
     """The heap of the canonical form: s precedes t iff s comes before t
     in every minimal representative."""
     canonical = normalize(word)
-    return SyllableOrder(tuple(_ids_of_sequence(canonical.syllables)), tuple(_heap(canonical)))
+    return SyllableOrder(syllable_ids(canonical), tuple(_heap(canonical)))
 
 
 # -- shift maps between powers ---------------------------------------------
@@ -152,7 +154,7 @@ def power_shift_map(word: Word, m: int, n: int) -> dict[SyllableId, SyllableId]:
     if not 1 <= m < n:
         raise ValueError("need 1 <= m < n")
     w = normalize(word)
-    if _find_reduction(w) is not None:
+    if not is_cyclically_reduced(w):
         raise NotCyclicallyReduced("word is not conjugacy-minimal")
     support = sorted(w.support(), key=w.graph.index.get)
     if len(support) < 2:
@@ -165,12 +167,12 @@ def power_shift_map(word: Word, m: int, n: int) -> dict[SyllableId, SyllableId]:
             "support is disconnected in the complement graph; power blocks may merge",
             support=support,
         )
-    last = {(sid.generator, sid.exponent): sid for sid in _ids_of_sequence(w.syllables)}
+    last = {(sid.generator, sid.exponent): sid for sid in syllable_ids(w)}
     base = power(w, m)
     if len(base.syllables) != m * len(w.syllables):
         raise ShiftMapUndefined("power of the word collapsed", m=m)
     shift: dict[SyllableId, SyllableId] = {}
-    for sid in _ids_of_sequence(base.syllables):
+    for sid in syllable_ids(base):
         step = last[(sid.generator, sid.exponent)].occurrence
         shift[sid] = SyllableId(
             sid.generator, sid.exponent, sid.occurrence + (n - m) * step
@@ -247,11 +249,7 @@ def cyclically_reduce(word: Word) -> tuple[Word, Word]:
     The rounds only shorten and always stop at a fixed point, so no
     conjugate has fewer syllables.
     """
-    return _cyclically_reduce(normalize(word))
-
-
-def _cyclically_reduce(current: Word) -> tuple[Word, Word]:
-    # cyclically_reduce on a word that is already canonical.
+    current = normalize(word)
     factors = []
     while (found := _find_reduction(current)) is not None:
         current, factor = found

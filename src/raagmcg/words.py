@@ -27,6 +27,10 @@ Termination: each insertion either appends or strictly decreases the
 pair (syllable count, letter length); the greedy pass only permutes a
 fixed multiset.  Exponents are plain Python integers, so powers never
 overflow.
+
+The words ``normalize``, ``multiply``, ``invert`` and ``power`` return are
+marked canonical, and ``normalize`` returns a marked word as it is; the
+mark is not a field, so equality, hashing and repr ignore it.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ class Word:
 
     syllables: tuple[Syllable, ...]
     graph: DefiningGraph
+    _canonical = False  # not a field; set on the normal forms this module builds
 
     def __post_init__(self):
         for s in self.syllables:
@@ -211,11 +216,20 @@ def _normalize_pairs(pairs: Iterable[Pair], comm) -> tuple[Pair, ...]:
     return _left_greedy(_minimal_pairs(pairs, comm), comm)
 
 
+def _normal_form(pairs: Iterable[Pair], graph: DefiningGraph) -> Word:
+    """The canonical word of the encoded pairs, marked as canonical."""
+    word = _decode(_normalize_pairs(pairs, graph.commutation_matrix), graph)
+    object.__setattr__(word, "_canonical", True)
+    return word
+
+
 def normalize(word: Word) -> Word:
     """The canonical minimal-syllable representative of the word's group
-    element.  Idempotent; never increases syllable count or letter length."""
-    comm = word.graph.commutation_matrix
-    return _decode(_normalize_pairs(_encode(word), comm), word.graph)
+    element.  Idempotent; never increases syllable count or letter length.
+
+    A normal form is its own normal form, so a word built by ``normalize``,
+    ``multiply``, ``invert`` or ``power`` is returned as it is."""
+    return word if word._canonical else _normal_form(_encode(word), word.graph)
 
 
 def is_minimal(word: Word) -> bool:
@@ -227,21 +241,19 @@ def is_minimal(word: Word) -> bool:
 
 def multiply(u: Word, v: Word) -> Word:
     _require_same_graph(u, v)
-    comm = u.graph.commutation_matrix
-    return _decode(_normalize_pairs(_encode(u) + _encode(v), comm), u.graph)
+    return _normal_form(_encode(u) + _encode(v), u.graph)
 
 
 def invert(u: Word) -> Word:
-    comm = u.graph.commutation_matrix
-    rev = tuple((g, -e) for g, e in reversed(_encode(u)))
-    return _decode(_normalize_pairs(rev, comm), u.graph)
+    return _normal_form(((g, -e) for g, e in reversed(_encode(u))), u.graph)
 
 
 def power(u: Word, n: int) -> Word:
     if n < 0:
         return power(invert(u), -n)
-    comm = u.graph.commutation_matrix
-    return _decode(_normalize_pairs(_encode(u) * n, comm), u.graph)
+    if n == 1:
+        return normalize(u)
+    return _normal_form(_encode(u) * n, u.graph)
 
 
 def concatenated_power(u: Word, n: int) -> Word:

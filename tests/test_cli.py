@@ -210,6 +210,28 @@ def test_unparsable_json_file_is_machine_readable(capsys, tmp_path, pentagon_pat
     assert data["details"] == {"line": 2, "column": 3}
 
 
+@pytest.mark.parametrize("which, error", [
+    ("graph", "MalformedGraph"), ("realization", "MalformedRealization"),
+])
+@pytest.mark.parametrize("content, offset", [
+    (b"\xff\xfe{\x00}\x00", 0),
+    ('{"vertices": ["\u00e9"], "edges": []}'.encode("latin-1"), 15),
+])
+def test_file_not_utf8_is_machine_readable(
+    capsys, tmp_path, pentagon_path, which, error, content, offset
+):
+    path = tmp_path / "latin.json"
+    path.write_bytes(content)
+    graph = str(path) if which == "graph" else pentagon_path
+    code, out = run_cli(
+        capsys, "classify", "--graph", graph, "--realization", str(path), "--word", "a",
+    )
+    assert code == 1
+    data = json.loads(out)
+    assert data["error"] == error
+    assert data["details"] == {"offset": offset}
+
+
 def test_min_cap_bounds_only_min_enum(capsys, pentagon_path):
     code, out = run_cli(
         capsys, "min-enum", "--graph", pentagon_path, "--word", "a b", "--min-cap", "1",
@@ -234,7 +256,7 @@ def test_malformed_graph_edge_is_machine_readable(capsys, tmp_path, edge):
     assert data["details"] == {"key": "edges", "edge": edge}
 
 
-@pytest.mark.parametrize("vertex", [["a"], 1, None, "a b", "a^1", "a#1"])
+@pytest.mark.parametrize("vertex", [["a"], 1, None, "a b", "a^1", "a#1", 'a"b', "a\\b"])
 def test_malformed_graph_vertex_is_machine_readable(capsys, tmp_path, vertex):
     path = tmp_path / "graph.json"
     path.write_text(json.dumps({"vertices": [vertex, "b"], "edges": []}))

@@ -19,6 +19,7 @@ from raagmcg import (
     make_certificate,
     parse_word,
     syllable_order,
+    verify_power_properties,
 )
 
 # The pentagon's filling word, and a conjugate u (a c e b d) u^-1 by a walk
@@ -72,3 +73,11 @@ def test_reduction_normalizes_once_plus_once_per_round(counted, pentagon, text):
         normal_forms, rounds = counted(call)
         assert rounds == (0 if text == "a c e b d" else 3)
         assert 1 + rounds <= normal_forms <= 1 + rounds + 1
+
+
+def test_verify_power_properties_builds_each_power_once(counted, pentagon):
+    # One normal form for the word, then one for each of its powers 2, 3, 4
+    # (the oracle's range) and 6 (r + 1 with r = 5); the square and the
+    # sixth power give the orders, and neither shift map normalizes again.
+    word = parse_word("a c e b d", pentagon)
+    assert counted(lambda: verify_power_properties(word)) == (5, 0)
