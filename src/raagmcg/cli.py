@@ -156,10 +156,11 @@ def run(args: argparse.Namespace) -> int:
         else:
             _emit(str(result))
     elif command == "min-enum":
-        reps = minimal_representatives(word, args.min_cap)
+        canonical = normalize(word)
+        reps = minimal_representatives(canonical, args.min_cap)
         if args.format == "json":
             _emit_json(
-                {"word": str(normalize(word)), "count": len(reps),
+                {"word": str(canonical), "count": len(reps),
                  "members": [str(r) for r in reps]}
             )
         else:
@@ -198,10 +199,11 @@ def run(args: argparse.Namespace) -> int:
         from .classification import verify_power_properties
 
         realization = _load_realization(args.realization, graph)
+        canonical = normalize(word)
         report = verify_power_properties(
-            word, realization=realization, oracle_budget=args.search_cap
+            canonical, realization=realization, oracle_budget=args.search_cap
         )
-        _emit_json({"word": str(normalize(word)), "checks": report})
+        _emit_json({"word": str(canonical), "checks": report})
     elif command == "certify":
         from .subsurface_map import Constants, make_certificate
 

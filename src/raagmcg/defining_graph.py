@@ -20,6 +20,14 @@ from typing import Iterable, Sequence
 from .errors import DanglingEdge, DuplicateVertex, MalformedGraph, SelfLoop, UnknownVertex
 
 
+def _unquotable(vertex: str) -> MalformedGraph:
+    # DOT output writes every label between double quotes.
+    return MalformedGraph(
+        f"graph vertex {vertex!r} holds '\"' or '\\', which DOT output cannot quote",
+        key="vertices", vertex=vertex,
+    )
+
+
 @dataclass(frozen=True)
 class DefiningGraph:
     """A finite simple graph on named generators."""
@@ -43,14 +51,12 @@ class DefiningGraph:
                 raise MalformedGraph(f"graph JSON needs a list under {key!r}", key=key)
         for vertex in data["vertices"]:
             if not isinstance(vertex, str) or any(c.isspace() or c in "^#" for c in vertex):
-                reason = "is not a string without whitespace, '^' or '#'"
-            elif '"' in vertex or "\\" in vertex:
-                reason = "holds '\"' or '\\', which DOT output cannot quote"
-            else:
-                continue
-            raise MalformedGraph(
-                f"graph vertex {vertex!r} {reason}", key="vertices", vertex=vertex
-            )
+                raise MalformedGraph(
+                    f"graph vertex {vertex!r} is not a string without whitespace, '^' or '#'",
+                    key="vertices", vertex=vertex,
+                )
+            if '"' in vertex or "\\" in vertex:  # validate checks too, after the edges
+                raise _unquotable(vertex)
         for edge in data["edges"]:
             if not (isinstance(edge, list) and len(edge) == 2
                     and all(isinstance(v, str) for v in edge)):
@@ -78,6 +84,8 @@ class DefiningGraph:
                 raise DuplicateVertex("empty vertex label", label=v)
             if v in seen:
                 raise DuplicateVertex(f"duplicate vertex {v!r}", label=v)
+            if '"' in v or "\\" in v:
+                raise _unquotable(v)
             seen.add(v)
         for e in self.edges:
             if len(e) != 2:

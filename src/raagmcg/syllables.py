@@ -23,8 +23,9 @@ is conjugated around the word, and no trial conjugate is computed.
 
 Each public function normalizes its input, and ``normalize`` returns a
 canonical word as it is: a caller passes on the word it has normalized,
-and no normal form is computed twice.  ``_heap`` and ``_find_reduction``
-take a canonical word.
+and no normal form is computed twice.  ``_heap`` takes a canonical word,
+and ``_find_reduction`` the heap of one, which cyclic reduction keeps
+and edits across its rounds.
 """
 
 from __future__ import annotations
@@ -183,26 +184,43 @@ def power_shift_map(word: Word, m: int, n: int) -> dict[SyllableId, SyllableId]:
 # -- cyclic reduction --------------------------------------------------------
 
 
-def _find_reduction(current: Word) -> tuple[Word, Syllable] | None:
-    # The first strict decrease as (shorter conjugate, factor) with
-    # current = factor * shorter * factor^-1; see cyclically_reduce.
-    syllables = list(current.syllables)
-    below = _heap(current)
-    not_maximal = 0
-    for mask in below:
-        not_maximal |= mask
-    minimal = {syllables[i].generator: i for i, mask in enumerate(below) if not mask}
-    maximal = [p for p in range(len(below) - 1, 0, -1) if not not_maximal >> p & 1]
-    partners = [(p, minimal.get(syllables[p].generator, p)) for p in maximal]
-    moves = [(0, p) for p, i in partners if i == 0] + [(p, i) for p, i in partners if i != p]
-    if not moves:
+class _LiveHeap:
+    """The canonical word that cyclic reduction edits, kept as its heap:
+    ``syllables`` and the ``_heap`` masks ``below`` by position, and the
+    positions still in the word, in order, as ``order`` and as the bit
+    mask ``live``."""
+
+    def __init__(self, word: Word):
+        self.graph = word.graph
+        self.syllables = list(word.syllables)
+        self.below = _heap(word)
+        self.order = list(range(len(self.syllables)))
+        self.live = (1 << len(self.syllables)) - 1
+
+    def remove(self, position: int) -> None:
+        self.order.remove(position)
+        self.live &= ~(1 << position)
+
+    def remaining(self) -> tuple[Syllable, ...]:
+        return tuple([self.syllables[p] for p in self.order])
+
+
+def _find_reduction(heap: _LiveHeap) -> tuple[int, int] | None:
+    # The first strict decrease as (moved, target) positions: the moved
+    # syllable goes around the word and merges into the target; see
+    # cyclically_reduce.
+    order, below, live, syllables = heap.order, heap.below, heap.live, heap.syllables
+    if not order:
         return None
-    moved, target = moves[0]
-    s = syllables[moved]
-    syllables[target] = Syllable(s.generator, syllables[target].exponent + s.exponent)
-    del syllables[moved]
-    factor = s if moved == 0 else Syllable(s.generator, -s.exponent)
-    return normalize(Word(tuple(syllables), current.graph)), factor
+    not_maximal = 0
+    for p in order:
+        not_maximal |= below[p]
+    minimal = {syllables[i].generator: i for i in order if not below[i] & live}
+    first = order[0]
+    maximal = [p for p in reversed(order) if p != first and not not_maximal >> p & 1]
+    partners = [(p, minimal.get(syllables[p].generator, p)) for p in maximal]
+    moves = [(first, p) for p, i in partners if i == first] + [(p, i) for p, i in partners if i != p]
+    return moves[0] if moves else None
 
 
 def cyclically_reduce(word: Word) -> tuple[Word, Word]:
@@ -236,9 +254,27 @@ def cyclically_reduce(word: Word) -> tuple[Word, Word]:
     above a maximal or below a minimal syllable.  That covers a partner
     whose exponent sums to zero, too: it is maximal or minimal itself.
     Without a partner the moved syllable is blocked before it meets its
-    generator, and the count stays.  The merged list is normalized once
-    per round; the conjugator, the product of the rounds' factors, once
-    at the end.
+    generator, and the count stays.
+
+    The rounds edit one heap, built once, and drop syllables from it
+    instead of normalizing each shorter conjugate.  For the same reason
+    as above, no chain between two syllables that stay passes through a
+    dropped one, so the masks, read on the positions left, are the heap
+    of the shorter conjugate.  Those positions, in order, are its
+    canonical word, except in one case.  The greedy pass emits the first
+    syllable first, and a maximal syllable blocks nothing, so deleting
+    either one leaves every other greedy choice unchanged; a new
+    exponent changes none, as the pass reads only generators.  That
+    covers moving the first syllable, whether or not its maximal partner
+    cancels to zero, and a maximal syllable whose minimal partner keeps
+    a nonzero exponent.  The exception is a minimal partner other than
+    the first syllable that cancels to zero: the syllables it blocked
+    may now come earlier, even first.  On the path graph a - b - c, the
+    canonical word b c a c^-1 moves c^-1 to the front, which cancels c
+    and leaves b a, whose normal form a b changes position 0 (the
+    conjugator is c).  Only that round normalizes the word left and
+    builds its heap again.  The conjugator, the product of the rounds'
+    factors, is normalized once at the end.
 
     The fixed point is conjugacy-minimal: no generator labels a minimal
     and a different maximal syllable, so it is cyclically reduced, and
@@ -249,13 +285,24 @@ def cyclically_reduce(word: Word) -> tuple[Word, Word]:
     The rounds only shorten and always stop at a fixed point, so no
     conjugate has fewer syllables.
     """
-    current = normalize(word)
+    current = _LiveHeap(normalize(word))
     factors = []
-    while (found := _find_reduction(current)) is not None:
-        current, factor = found
-        factors.append(factor)
-    return current, normalize(Word(tuple(factors), current.graph))
+    while (move := _find_reduction(current)) is not None:
+        moved, target = move
+        s, t = current.syllables[moved], current.syllables[target]
+        moved_first = moved == current.order[0]
+        factors.append(s if moved_first else Syllable(s.generator, -s.exponent))
+        current.remove(moved)
+        if s.exponent + t.exponent:
+            current.syllables[target] = Syllable(t.generator, s.exponent + t.exponent)
+        else:
+            current.remove(target)
+            if not moved_first:
+                current = _LiveHeap(normalize(Word(current.remaining(), current.graph)))
+    reduced = Word(current.remaining(), current.graph)
+    object.__setattr__(reduced, "_canonical", True)  # the edits keep it canonical
+    return reduced, normalize(Word(tuple(factors), current.graph))
 
 
 def is_cyclically_reduced(word: Word) -> bool:
-    return _find_reduction(normalize(word)) is None
+    return _find_reduction(_LiveHeap(normalize(word))) is None

@@ -29,8 +29,9 @@ fixed multiset.  Exponents are plain Python integers, so powers never
 overflow.
 
 The words ``normalize``, ``multiply``, ``invert`` and ``power`` return are
-marked canonical, and ``normalize`` returns a marked word as it is; the
-mark is not a field, so equality, hashing and repr ignore it.
+marked canonical (so is the reduced word of ``cyclically_reduce``), and
+``normalize`` returns a marked word as it is; the mark is not a field,
+so equality, hashing and repr ignore it.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class Word:
 
     syllables: tuple[Syllable, ...]
     graph: DefiningGraph
-    _canonical = False  # not a field; set on the normal forms this module builds
+    _canonical = False  # not a field; set on normal forms (see the module docstring)
 
     def __post_init__(self):
         for s in self.syllables:
@@ -351,7 +352,7 @@ def minimal_representatives(word: Word, cap: int = DEFAULT_CAP) -> list[Word]:
     Raises CapExceeded as soon as the closure grows past ``cap``.
     """
     comm = word.graph.commutation_matrix
-    start = _normalize_pairs(_encode(word), comm)
+    start = _encode(normalize(word))
     seen = {start}
     frontier = deque([start])
     while frontier:

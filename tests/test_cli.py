@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import raagmcg.words as words
 from raagmcg import MalformedWord, Realization, parse_word
 from raagmcg.cli import main
 
@@ -368,3 +369,21 @@ def test_certify_rejects_constants_out_of_float_range(capsys, pentagon_path, fla
         "message": "K0 + 20 + 2*D is out of floating-point range",
         "details": {"field": "K"},
     }
+
+
+@pytest.mark.parametrize("command, normal_forms", [("verify", 5), ("min-enum", 1)])
+def test_commands_normalize_as_often_as_the_library(
+    capsys, monkeypatch, pentagon_path, command, normal_forms
+):
+    # ``verify`` builds the word and its powers 2, 3, 4 and 6, as the library
+    # call does; ``min-enum`` enumerates from the normal form it prints.
+    normalize_pairs, calls = words._normalize_pairs, []
+
+    def counted(*args):
+        calls.append(args)
+        return normalize_pairs(*args)
+
+    monkeypatch.setattr(words, "_normalize_pairs", counted)
+    code, _ = run_cli(capsys, command, "--graph", pentagon_path, "--word", "a c e b d")
+    assert code == 0
+    assert len(calls) == normal_forms

@@ -6,6 +6,7 @@ from raagmcg import (
     DanglingEdge,
     DefiningGraph,
     DuplicateVertex,
+    MalformedGraph,
     SelfLoop,
     UnknownVertex,
 )
@@ -31,6 +32,25 @@ def test_dangling_edge_rejected():
 def test_duplicate_vertex_rejected():
     with pytest.raises(DuplicateVertex):
         DefiningGraph.from_data(["a", "a"], [])
+
+
+@pytest.mark.parametrize("vertex", ['a"b', "a\\b", '"', "\\"])
+def test_unquotable_label_rejected_by_every_constructor(vertex):
+    # DOT output writes labels between double quotes, so no constructor
+    # accepts a label holding '"' or '\\'; all raise the error of the JSON
+    # loader.
+    builds = (
+        lambda: DefiningGraph.from_data(["b", vertex], [("b", vertex)]),
+        lambda: DefiningGraph((vertex,), frozenset()),
+        lambda: DefiningGraph.from_json_dict({"vertices": ["b", vertex], "edges": []}),
+    )
+    errors = []
+    for build in builds:
+        with pytest.raises(MalformedGraph) as err:
+            build()
+        assert err.value.details == {"key": "vertices", "vertex": vertex}
+        errors.append(err.value.message)
+    assert len(set(errors)) == 1
 
 
 def test_pentagon_complement_is_pentagram(pentagon):
