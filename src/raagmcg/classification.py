@@ -156,6 +156,8 @@ def verify_power_properties(
     connected piece of the complement graph; outside that the status is
     ``precondition_unmet``.  Likewise image_coverage reports
     ``precondition_unmet`` when the support's subsurfaces do not fill.
+    Both are read off one ``fill`` of the support.  A realization over
+    another defining graph raises GraphMismatch, as in ``classify``.
     ``cap`` bounds nothing: no check here enumerates representatives.
     """
     canonical = normalize(word)
@@ -164,9 +166,9 @@ def verify_power_properties(
     graph = canonical.graph
     if realization is None:
         realization = build_standard_realization(graph)
-    report: dict[str, dict] = {}
-    support = sorted(canonical.support(), key=graph.index.get)
-    r = len(support)
+    elif realization.graph != graph:
+        raise GraphMismatch("word and realization use different defining graphs")
+    r = len(canonical.support())
     if r == 0:
         status = {"status": PASS, "note": "empty word; nothing to check"}
         return {
@@ -176,27 +178,26 @@ def verify_power_properties(
             "power_comparability": dict(status),
         }
 
-    # Coverage: scan each curve for the first syllable whose base meets it;
-    # the prefix before that syllable only uses subsurfaces missing the
-    # curve, hence fixes it in the model.
-    uncovered = []
-    bases = [realization.subsurface_for(s.generator) for s in canonical.syllables]
-    for curve in realization.reference_curves:
-        if not any(curve in base.intersects for base in bases):
-            uncovered.append(curve)
-    if uncovered:
-        report["image_coverage"] = {
-            "status": PRECONDITION_UNMET,
-            "note": f"support does not fill; uncovered curves {uncovered}",
-        }
-    else:
+    # Coverage: a curve that some syllable's base meets is met by the first
+    # such syllable, and the prefix before it only uses subsurfaces missing
+    # the curve, hence fixes it in the model.  ``fill`` meets the generators
+    # in syllable order, so a vertex without a subsurface is reported at
+    # its first syllable.
+    filled = fill(realization, [s.generator for s in canonical.syllables])
+    report: dict[str, dict] = {}
+    if filled.fills_ambient:
         report["image_coverage"] = {
             "status": PASS,
             "note": "every reference curve meets a syllable image",
         }
+    else:
+        uncovered = sorted(filled.uncovered_curves, key=realization.reference_curves.index)
+        report["image_coverage"] = {
+            "status": PRECONDITION_UNMET,
+            "note": f"support does not fill; uncovered curves {uncovered}",
+        }
 
-    connected = len(graph.complement().components(support)) == 1
-    if r < 2 or not connected:
+    if r < 2 or len(filled.components) != 1:
         note = (
             "support has a single generator"
             if r < 2

@@ -58,13 +58,15 @@ def _number(text: str):
 
 
 def _read(path: str, error: type[RaagError], kind: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-        except UnicodeDecodeError as err:
-            raise error(
-                f"{kind} file is not UTF-8: {err.reason} at byte {err.start}", offset=err.start
-            ) from None
+    except UnicodeDecodeError as err:
+        raise error(
+            f"{kind} file is not UTF-8: {err.reason} at byte {err.start}", offset=err.start
+        ) from None
+    except OSError as err:
+        raise error(f"{kind} file cannot be read: {err.strerror}", path=path) from None
 
 
 def _load_graph(path: str):

@@ -74,6 +74,8 @@ class DefiningGraph:
             raise MalformedGraph(
                 f"graph is not valid JSON: {err}", line=err.lineno, column=err.colno
             ) from None
+        except ValueError as err:  # an integer of more digits than int() converts
+            raise MalformedGraph(f"graph JSON cannot be read: {err}") from None
         return cls.from_json_dict(data)
 
     def validate(self) -> None:

@@ -128,6 +128,8 @@ class Realization:
             raise MalformedRealization(
                 f"realization is not valid JSON: {err}", line=err.lineno, column=err.colno
             ) from None
+        except ValueError as err:  # an integer of more digits than int() converts
+            raise MalformedRealization(f"realization JSON cannot be read: {err}") from None
         return cls.from_json_dict(data)
 
 
@@ -240,7 +242,9 @@ def fill(realization: Realization, indices: Iterable[str]) -> FillResult:
     """Fill data for the subsurfaces attached to ``indices``: one
     component per connected piece of the complement graph on the index
     set, filling the ambient surface iff every reference curve meets one
-    of the subsurfaces."""
+    of the subsurfaces.  The subsurfaces are looked up in the order of
+    ``indices``, so a vertex without one is reported at its first
+    occurrence there."""
     index_list = list(indices)
     if not index_list:
         raise ValueError("indices must be nonempty")
@@ -248,7 +252,7 @@ def fill(realization: Realization, indices: Iterable[str]) -> FillResult:
         realization.graph.require_vertex(v)
     components = realization.graph.complement().components(index_list)
     covered: set[str] = set()
-    for v in set(index_list):
+    for v in dict.fromkeys(index_list):
         covered |= realization.subsurface_for(v).intersects
     uncovered = frozenset(set(realization.reference_curves) - covered)
     return FillResult(components, not uncovered, uncovered)

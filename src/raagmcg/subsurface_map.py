@@ -21,7 +21,8 @@ canonical word, so both are read off it without word arithmetic:
     down-sets;
   * it decides star-coset equality of two down-sets from the generators
     on their symmetric difference, with one mask per base vertex v, bit
-    p set when syllable p has its generator outside star(v).
+    p set when syllable p has its generator outside star(v); the same
+    masks say whether two unordered syllables commute.
 
 ``MappedSubsurface.equivalent``, which multiplies out, and
 ``check_representative_independence``, which walks every minimal
@@ -144,14 +145,16 @@ def check_order_embedding(word: Word) -> CheckResult:
         exactly when all of its generators lie in that set.
 
     Bit p of ``outside[v]`` marks syllable p as outside star(v), so each
-    test is one mask operation and no prefix is multiplied out.
+    test is one mask operation and no prefix is multiplied out.  That
+    covers the commutation test too: two unordered syllables have
+    distinct generators, which commute exactly when the second is not
+    outside the star of the first.
     """
     order = syllable_order(word)
     ids, below = order.elements, order.below
-    graph = word.graph
     outside = {}
     for v in {s.generator for s in ids}:
-        star = graph.star(v)
+        star = word.graph.star(v)
         outside[v] = sum(1 << p for p, s in enumerate(ids) if s.generator not in star)
     for i, s in enumerate(ids):
         for j, t in enumerate(ids[i + 1:], i + 1):
@@ -164,7 +167,7 @@ def check_order_embedding(word: Word) -> CheckResult:
         for j, t in enumerate(ids[i + 1:], i + 1):
             if below[j] >> i & 1:
                 continue
-            if not graph.has_edge(s.generator, t.generator):
+            if outside[s.generator] >> j & 1:
                 return CheckResult(
                     False,
                     f"unordered pair {s.label()}, {t.label()} with non-commuting generators",
@@ -269,6 +272,7 @@ class Constants:
                 raise InvalidConstants(
                     f"tau({v}) = {self.tau[v]} is below C = {self.c}", field="tau"
                 )
+        _check_number("C", self.c)  # last, so the checks above keep their order
 
     def to_json_dict(self) -> dict:
         return {
@@ -337,12 +341,12 @@ def make_certificate(word: Word, constants: Constants) -> Certificate:
     """
     constants.validate(word.graph)
     canonical = normalize(word)
+    total = _total(constants.k, canonical.letter_length())
     assignment = syllable_subsurface_map(canonical)
     entries = tuple(
         CertificateEntry(sid, sub, constants.k * abs(sid.exponent))
         for sid, sub in assignment.items()
     )
-    total = constants.k * canonical.letter_length()
     rhs = f"({_fmt(total)} - {_fmt(constants.b)})/{_fmt(constants.a)}"
     templates = (
         f"d_MM >= {rhs}",
@@ -350,6 +354,21 @@ def make_certificate(word: Word, constants: Constants) -> Certificate:
         f"d_T >= {rhs}",
     )
     return Certificate(canonical, constants, entries, total, templates)
+
+
+def _total(k, letters: int):
+    # K times the letter length, typed when a float K makes it overflow.
+    # Every entry bound K * |exponent| is at most the total, so a finite
+    # total keeps them all finite; an int K stays exact.
+    try:
+        total = k * letters
+    except OverflowError:  # letters too large for a float
+        total = math.inf
+    if total == math.inf:
+        raise InvalidConstants(
+            "K times the letter length is out of floating-point range", field="K"
+        )
+    return total
 
 
 def _fmt(x) -> str:

@@ -3,7 +3,8 @@
 This is the engine behind every other module: minimal-syllable normal
 forms, enumeration of all minimal representatives, group arithmetic,
 and the exhaustive breadth-first oracle used to certify the normal
-form at test scale.
+form at test scale.  The enumeration and the oracle are one capped
+breadth-first closure, under move (3) and under moves (1)-(3).
 
 The rewriting moves on a word ``g1^e1 ... gk^ek`` are:
 
@@ -127,7 +128,8 @@ def word_from_pairs(graph: DefiningGraph, pairs: Iterable[tuple[str, int]]) -> W
 def parse_word(text: str, graph: DefiningGraph, keep_zero_exponents: bool = False) -> Word:
     """Parse the word grammar: whitespace-separated ``name`` or ``name^k``
     tokens, k an ASCII integer ``-?[0-9]+`` and ``a^-2`` meaning a^(-2);
-    the empty string is the identity.  A token outside the grammar raises
+    the empty string is the identity.  A token outside the grammar, or
+    with an exponent of more digits than ``int`` converts, raises
     MalformedWord.
 
     Zero exponents are dropped during parsing (move (1)) unless
@@ -140,7 +142,10 @@ def parse_word(text: str, graph: DefiningGraph, keep_zero_exponents: bool = Fals
             raise MalformedWord(f"malformed token {token!r}", token=token)
         if sep and not _EXPONENT.fullmatch(exp_text):
             raise MalformedWord(f"malformed exponent in token {token!r}", token=token)
-        exp = int(exp_text) if sep else 1
+        try:
+            exp = int(exp_text) if sep else 1
+        except ValueError:  # more digits than int() converts
+            raise MalformedWord(f"exponent too long in token {token!r}", token=token) from None
         if name not in graph.index:
             raise UnknownVertex(f"unknown generator {name!r}", label=name)
         if exp == 0 and not keep_zero_exponents:
@@ -335,7 +340,24 @@ def apply_move(word: Word, move: int, position: int) -> Word:
     )
 
 
-# -- minimal representatives ----------------------------------------------
+# -- minimal representatives and the oracle -------------------------------
+
+
+def _capped_closure(start: tuple[Pair, ...], neighbors, comm, cap: int, error: Exception) -> set:
+    """The breadth-first closure of ``start`` under ``neighbors(word,
+    comm)``, the one search behind ``minimal_representatives`` (move (3))
+    and ``oracle_min_syllables`` (moves (1)-(3)).  Raises ``error`` as soon
+    as the closure grows past ``cap`` words."""
+    seen = {start}
+    frontier = deque([start])
+    while frontier:
+        for nxt in neighbors(frontier.popleft(), comm):
+            if nxt not in seen:
+                if len(seen) >= cap:
+                    raise error
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
 
 
 def _swap_neighbors(pairs: tuple[Pair, ...], comm) -> Iterator[tuple[Pair, ...]]:
@@ -345,30 +367,30 @@ def _swap_neighbors(pairs: tuple[Pair, ...], comm) -> Iterator[tuple[Pair, ...]]
             yield pairs[:i] + ((h, f), (g, e)) + pairs[i + 2:]
 
 
+def _move_neighbors(pairs: tuple[Pair, ...], comm) -> Iterator[tuple[Pair, ...]]:
+    # Moves (1)-(3) at every position; move (3) also swaps two syllables of
+    # one generator, which commute.
+    for i in range(len(pairs)):
+        if pairs[i][1] == 0:
+            yield pairs[:i] + pairs[i + 1:]
+    for i in range(len(pairs) - 1):
+        (g, e), (h, f) = pairs[i], pairs[i + 1]
+        if g == h:
+            yield pairs[:i] + ((g, e + f),) + pairs[i + 2:]
+        if comm[g][h]:
+            yield pairs[:i] + ((h, f), (g, e)) + pairs[i + 2:]
+
+
 def minimal_representatives(word: Word, cap: int = DEFAULT_CAP) -> list[Word]:
     """All minimal-syllable words representing the element: the closure of
     the normal form under move-(3) swaps.  Deterministically sorted.
 
     Raises CapExceeded as soon as the closure grows past ``cap``.
     """
-    comm = word.graph.commutation_matrix
+    error = CapExceeded(f"more than {cap} minimal representatives", cap=cap)
     start = _encode(normalize(word))
-    seen = {start}
-    frontier = deque([start])
-    while frontier:
-        current = frontier.popleft()
-        for nxt in _swap_neighbors(current, comm):
-            if nxt not in seen:
-                if len(seen) >= cap:
-                    raise CapExceeded(
-                        f"more than {cap} minimal representatives", cap=cap
-                    )
-                seen.add(nxt)
-                frontier.append(nxt)
+    seen = _capped_closure(start, _swap_neighbors, word.graph.commutation_matrix, cap, error)
     return [_decode(p, word.graph) for p in sorted(seen)]
-
-
-# -- the oracle ------------------------------------------------------------
 
 
 def oracle_min_syllables(word: Word, budget: int = DEFAULT_CAP) -> int:
@@ -379,32 +401,6 @@ def oracle_min_syllables(word: Word, budget: int = DEFAULT_CAP) -> int:
     meant for words small enough to enumerate.  Raises
     SearchBudgetExceeded once more than ``budget`` words have been visited.
     """
+    error = SearchBudgetExceeded(f"visited more than {budget} words", budget=budget)
     comm = word.graph.commutation_matrix
-    start = _encode(word)
-    best = len(start)
-    seen = {start}
-    frontier = deque([start])
-    while frontier:
-        current = frontier.popleft()
-        k = len(current)
-        neighbors = []
-        for i in range(k):
-            if current[i][1] == 0:
-                neighbors.append(current[:i] + current[i + 1:])
-        for i in range(k - 1):
-            (g, e), (h, f) = current[i], current[i + 1]
-            if g == h:
-                neighbors.append(current[:i] + ((g, e + f),) + current[i + 2:])
-            if comm[g][h]:
-                neighbors.append(current[:i] + ((h, f), (g, e)) + current[i + 2:])
-        for nxt in neighbors:
-            if nxt not in seen:
-                if len(seen) >= budget:
-                    raise SearchBudgetExceeded(
-                        f"visited more than {budget} words", budget=budget
-                    )
-                seen.add(nxt)
-                if len(nxt) < best:
-                    best = len(nxt)
-                frontier.append(nxt)
-    return best
+    return min(map(len, _capped_closure(_encode(word), _move_neighbors, comm, budget, error)))

@@ -180,3 +180,14 @@ def test_foreign_graph_is_graph_mismatch(pentagon, pentagon_realization):
         classify(w("a", other), pentagon_realization)
     assert isinstance(err.value, ValueError)
     assert err.value.message == "word and realization use different defining graphs"
+
+
+def test_verify_rejects_realization_over_another_graph(pentagon):
+    from raagmcg import DefiningGraph, GraphMismatch, build_standard_realization
+
+    edgeless = build_standard_realization(DefiningGraph.from_data("abcde", []))
+    with pytest.raises(GraphMismatch) as err:
+        verify_power_properties(w("a c e b d", pentagon), realization=edgeless)
+    assert err.value.message == "word and realization use different defining graphs"
+    with pytest.raises(NotCyclicallyReduced):  # the reducedness check still comes first
+        verify_power_properties(w("a c a^-1", pentagon), realization=edgeless)

@@ -1,8 +1,11 @@
 """A fixed-seed fuzz corpus through every subcommand of ``cli.main``, in
 process: valid and mutated graph JSON, realization JSON mutated from
 ``realize`` output, and word strings with junk tokens.  Every case must
-end in exit 0, in exit 1 with an error JSON on stdout, or in exit 2 from
-argparse; no other exception may escape."""
+end in exit 0, in exit 1 with an error JSON on stdout that names a
+``RaagError`` subclass, or in exit 2 from argparse; no other exception
+may escape.  Fixed cases after the seeded corpus cover float overflow in
+certificates, integers of more digits than ``int`` converts and files
+that cannot be opened."""
 
 import contextlib
 import copy
@@ -10,6 +13,7 @@ import io
 import json
 import random
 
+from raagmcg import errors
 from raagmcg.cli import main
 
 SEED = 20261018
@@ -26,6 +30,10 @@ JUNK_TOKENS = ["^", "a^", "^2", "zz", "a^٣", "a^２", "a^1.5", "a^^2", "a^2^3",
 BAD_LABELS = [5, None, "", "a b", "a^1", "x#", ["a"], {"a": 1}, True]
 BIG = "1" + "0" * 400  # an int too large for a float
 NUMBERS = ["10", "6", "0", "-3", "2.5", "inf", "nan", "1e308", BIG, "-" + BIG, "abc", "0x10"]
+RAAG_ERRORS = {
+    name for name, value in vars(errors).items()
+    if isinstance(value, type) and issubclass(value, errors.RaagError)
+}
 
 
 def _strict_json(text):
@@ -170,6 +178,41 @@ def test_cli_fuzz_exit_codes_and_error_json(tmp_path):
             data = _strict_json(out)
             assert set(data) == {"error", "message", "details"}, argv
             assert isinstance(data["details"], dict), argv
+            assert data["error"] in RAAG_ERRORS, argv
     assert escapes == []
     assert {0, 1, 2} <= set(codes)
 
+
+HUGE = "1" + "0" * 5000  # more digits than int() converts by default
+
+
+def test_cli_fixed_cases_name_raag_errors(tmp_path):
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({"vertices": ["a", "b"], "edges": []}))
+    huge_graph = tmp_path / "huge_graph.json"
+    huge_graph.write_text('{"vertices": ["a"], "edges": [], "n": %s}' % HUGE)
+    realization = tmp_path / "realization.json"
+    code, _, text = _run(["realize", "--graph", str(graph)])
+    assert code == 0, text
+    realization.write_text(text.replace('"standard"', '"standard", "n": ' + HUGE))
+    missing, directory = str(tmp_path / "missing.json"), str(tmp_path)
+    certify = ["certify", "--graph", str(graph)]
+    classify = ["classify", "--graph", str(graph), "--word", "a b"]
+    cases = [
+        (certify + ["--k0", "1.5", "--word", "a^" + BIG], "InvalidConstants", {"field": "K"}),
+        (certify + ["--k0", "1e308", "--word", "a"], "InvalidConstants", {"field": "C"}),
+        (certify + ["--k0", "1e306", "--word", "a^1000"], "InvalidConstants", {"field": "K"}),
+        (["normalize", "--graph", str(graph), "--word", "a^" + HUGE], "MalformedWord",
+         {"token": "a^" + HUGE}),
+        (["normalize", "--graph", str(huge_graph), "--word", "a"], "MalformedGraph", {}),
+        (classify + ["--realization", str(realization)], "MalformedRealization", {}),
+        (["normalize", "--graph", missing, "--word", "a"], "MalformedGraph", {"path": missing}),
+        (["order", "--graph", directory, "--word", "a"], "MalformedGraph", {"path": directory}),
+        (classify + ["--realization", missing], "MalformedRealization", {"path": missing}),
+        (classify + ["--realization", directory], "MalformedRealization", {"path": directory}),
+    ]
+    for argv, error, details in cases:
+        code, usage, out = _run(argv)
+        assert (code, usage) == (1, False), argv
+        data = _strict_json(out)
+        assert (data["error"], data["details"]) == (error, details), argv

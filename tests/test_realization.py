@@ -1,4 +1,9 @@
+import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -212,3 +217,46 @@ def test_undeclared_curve_is_unknown_curve(pentagon, pentagon_realization):
     assert not isinstance(err.value, UnknownVertex)
     assert err.value.message == "subsurface X_a meets undeclared curves ['delta']"
     assert err.value.details == {"label": "X_a"}
+
+
+MISSING_C_AND_E = """
+import json
+from raagmcg import (
+    DefiningGraph, Realization, UnknownVertex, build_standard_realization, classify, fill,
+    parse_word, verify_power_properties,
+)
+
+pentagon = DefiningGraph.from_data("abcde", ["ab", "bc", "cd", "de", "ea"])
+full = build_standard_realization(pentagon)
+partial = Realization(
+    pentagon, tuple(x for x in full.subsurfaces if x.vertex not in "ce"),
+    full.reference_curves, "custom",
+)
+calls = {
+    "classify": lambda: classify(parse_word("a c e b d", pentagon), partial),
+    "fill": lambda: fill(partial, ["e", "a", "c", "e"]),
+    "verify": lambda: verify_power_properties(
+        parse_word("e b d a c", pentagon), realization=partial
+    ),
+}
+labels = {}
+for name, call in calls.items():
+    try:
+        call()
+    except UnknownVertex as err:
+        labels[name] = err.details["label"]
+print(json.dumps(labels))
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_first_missing_subsurface_ignores_hash_seed(hash_seed):
+    # fill looks the subsurfaces up in the order of its indices: classify
+    # passes the support in vertex order, verify in syllable order.
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed)
+    out = subprocess.run(
+        [sys.executable, "-c", MISSING_C_AND_E], env=env,
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert json.loads(out) == {"classify": "c", "fill": "e", "verify": "e"}
