@@ -60,6 +60,7 @@ __all__ = [
     "CapExceeded",
     "DanglingEdge",
     "DisjointnessMismatch",
+    "DuplicateCurve",
     "DuplicateVertex",
     "GraphMismatch",
     "InvalidConstants",

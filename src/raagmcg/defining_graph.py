@@ -76,6 +76,8 @@ class DefiningGraph:
             ) from None
         except ValueError as err:  # an integer of more digits than int() converts
             raise MalformedGraph(f"graph JSON cannot be read: {err}") from None
+        except RecursionError:  # arrays or objects nested past the parser's stack
+            raise MalformedGraph("graph JSON is nested too deeply") from None
         return cls.from_json_dict(data)
 
     def validate(self) -> None:
@@ -135,6 +137,16 @@ class DefiningGraph:
             )
             rows.append(row)
         return tuple(rows)
+
+    @cached_property
+    def dependence(self) -> tuple[tuple[int, ...], ...]:
+        """dependence[i] lists, in vertex order, generator i and the
+        generators that do not commute with it: the ones whose syllables
+        never pass a syllable of i."""
+        return tuple([
+            tuple([j for j, commutes in enumerate(row) if i == j or not commutes])
+            for i, row in enumerate(self.commutation_matrix)
+        ])
 
     # -- graph operations --------------------------------------------------
 

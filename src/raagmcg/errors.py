@@ -47,6 +47,11 @@ class UnknownCurve(RaagError):
     pass
 
 
+class DuplicateCurve(RaagError):
+    """Raised for a realization whose reference curves name one curve twice
+    (details ``curve``)."""
+
+
 class MalformedWord(RaagError, ValueError):
     """Raised for a word token outside the grammar (details ``token``).  It
     is a ValueError too, so ``except ValueError`` callers keep catching it."""

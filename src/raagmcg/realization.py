@@ -30,6 +30,7 @@ from typing import Iterable
 from .defining_graph import DefiningGraph
 from .errors import (
     DisjointnessMismatch,
+    DuplicateCurve,
     DuplicateVertex,
     MalformedRealization,
     NestingDetected,
@@ -130,6 +131,8 @@ class Realization:
             ) from None
         except ValueError as err:  # an integer of more digits than int() converts
             raise MalformedRealization(f"realization JSON cannot be read: {err}") from None
+        except RecursionError:  # arrays or objects nested past the parser's stack
+            raise MalformedRealization("realization JSON is nested too deeply") from None
         return cls.from_json_dict(data)
 
 
@@ -193,11 +196,16 @@ def _pair_relation(a: Subsurface, b: Subsurface) -> str:
 
 
 def validate_realization(realization: Realization) -> None:
-    """Check the two niceness conditions against the declared incidences,
-    raising on the first violation."""
+    """Check that no reference curve is declared twice, then the two
+    niceness conditions against the declared incidences, raising on the
+    first violation."""
     graph = realization.graph
     seen_vertices = set()
     curve_set = set(realization.reference_curves)
+    if len(curve_set) < len(realization.reference_curves):
+        curve = next(c for i, c in enumerate(realization.reference_curves)
+                     if c in realization.reference_curves[:i])
+        raise DuplicateCurve(f"reference curve {curve!r} is declared twice", curve=curve)
     for x in realization.subsurfaces:
         graph.require_vertex(x.vertex)
         if x.vertex in seen_vertices:

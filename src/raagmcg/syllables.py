@@ -7,9 +7,10 @@ a chain of syllables with equal or non-commuting generators leads from i
 up to j (Cartier-Foata 1969; Viennot, "Heaps of pieces", 1986).  The
 minimal words are its linear extensions, in which equal generators never
 pass each other, so (generator, exponent, occurrence rank) names a
-syllable in all of them.  ``_heap`` is the one place that builds it: one
-int mask per syllable, bit i of ``below[j]`` set when syllable i lies
-below syllable j.  ``SyllableOrder`` keeps those masks as they are:
+syllable in all of them.  ``words.heap_masks`` builds it, for this
+module and for the enumeration of minimal words alike: one int mask per
+syllable, bit i of ``below[j]`` set when syllable i lies below syllable
+j.  ``SyllableOrder`` keeps those masks as they are:
 
   * the order is the masks, and its pair set is built only when read;
   * the Hasse edges of j are ``below[j]`` minus the masks of the
@@ -23,8 +24,8 @@ is conjugated around the word, and no trial conjugate is computed.
 
 Each public function normalizes its input, and ``normalize`` returns a
 canonical word as it is: a caller passes on the word it has normalized,
-and no normal form is computed twice.  ``_heap`` takes a canonical word,
-and ``_find_reduction`` the heap of one, which cyclic reduction keeps
+and no normal form is computed twice.  ``heap_masks`` takes a canonical
+word, and ``_find_reduction`` the heap of one, which cyclic reduction keeps
 and edits across its rounds.
 """
 
@@ -35,7 +36,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import NotCyclicallyReduced, ShiftMapUndefined
-from .words import Syllable, Word, normalize, power
+from .words import Syllable, Word, heap_masks, normalize, power
 
 
 @dataclass(frozen=True, order=True)
@@ -118,25 +119,11 @@ class SyllableOrder:
         return "\n".join(lines) + "\n"
 
 
-def _heap(word: Word) -> list[int]:
-    """Bit i of ``below[j]`` is set when syllable i of the canonical word
-    precedes syllable j in every minimal representative."""
-    comm = word.graph.commutation_matrix
-    index = word.graph.index
-    gens = [index[s.generator] for s in word.syllables]
-    below = [0] * len(gens)
-    for j, g in enumerate(gens):
-        for i in range(j):
-            if gens[i] == g or not comm[g][gens[i]]:
-                below[j] |= below[i] | 1 << i
-    return below
-
-
 def syllable_order(word: Word) -> SyllableOrder:
     """The heap of the canonical form: s precedes t iff s comes before t
     in every minimal representative."""
     canonical = normalize(word)
-    return SyllableOrder(syllable_ids(canonical), tuple(_heap(canonical)))
+    return SyllableOrder(syllable_ids(canonical), tuple(heap_masks(canonical)))
 
 
 # -- shift maps between powers ---------------------------------------------
@@ -186,14 +173,14 @@ def power_shift_map(word: Word, m: int, n: int) -> dict[SyllableId, SyllableId]:
 
 class _LiveHeap:
     """The canonical word that cyclic reduction edits, kept as its heap:
-    ``syllables`` and the ``_heap`` masks ``below`` by position, and the
+    ``syllables`` and the ``heap_masks`` masks ``below`` by position, and the
     positions still in the word, in order, as ``order`` and as the bit
     mask ``live``."""
 
     def __init__(self, word: Word):
         self.graph = word.graph
         self.syllables = list(word.syllables)
-        self.below = _heap(word)
+        self.below = heap_masks(word)
         self.order = list(range(len(self.syllables)))
         self.live = (1 << len(self.syllables)) - 1
 

@@ -1,10 +1,11 @@
 """Words in a right-angled Artin group and the three rewriting moves.
 
 This is the engine behind every other module: minimal-syllable normal
-forms, enumeration of all minimal representatives, group arithmetic,
-and the exhaustive breadth-first oracle used to certify the normal
-form at test scale.  The enumeration and the oracle are one capped
-breadth-first closure, under move (3) and under moves (1)-(3).
+forms, group arithmetic, the heap of a canonical word (``heap_masks``,
+the one builder of the syllable order), enumeration of all minimal
+representatives as the linear extensions of that heap, and the
+exhaustive breadth-first oracle over moves (1)-(3) used to certify the
+normal form at test scale.
 
 The rewriting moves on a word ``g1^e1 ... gk^ek`` are:
 
@@ -340,31 +341,100 @@ def apply_move(word: Word, move: int, position: int) -> Word:
     )
 
 
-# -- minimal representatives and the oracle -------------------------------
+# -- the heap, minimal representatives and the oracle ----------------------
 
 
-def _capped_closure(start: tuple[Pair, ...], neighbors, comm, cap: int, error: Exception) -> set:
-    """The breadth-first closure of ``start`` under ``neighbors(word,
-    comm)``, the one search behind ``minimal_representatives`` (move (3))
-    and ``oracle_min_syllables`` (moves (1)-(3)).  Raises ``error`` as soon
-    as the closure grows past ``cap`` words."""
-    seen = {start}
-    frontier = deque([start])
-    while frontier:
-        for nxt in neighbors(frontier.popleft(), comm):
-            if nxt not in seen:
-                if len(seen) >= cap:
-                    raise error
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
+def heap_masks(word: Word) -> list[int]:
+    """The heap (dependence poset) of a canonical word, one int mask per
+    syllable: bit i of ``below[j]`` is set when syllable i precedes
+    syllable j in every minimal representative, that is when a chain of
+    syllables with equal or non-commuting generators leads from i up to j
+    (Cartier-Foata 1969; Viennot, "Heaps of pieces", 1986).
+
+    Such a chain reaches j from a syllable of a generator h in
+    ``dependence[g]``, g being j's generator, at or before the last
+    occurrence of h before j; syllables of one generator are ordered, so
+    that occurrence lies above it or is it.  So ``below[j]`` is the OR of
+    those last occurrences' masks, each with its own bit: O(k·n) mask
+    operations instead of O(k^2) pair tests."""
+    index, dependence = word.graph.index, word.graph.dependence
+    closed = [0] * len(word.graph.vertices)  # mask and own bit of the last syllable per generator
+    below = [0] * len(word.syllables)
+    for j, s in enumerate(word.syllables):
+        g = index[s.generator]
+        mask = 0
+        for h in dependence[g]:
+            mask |= closed[h]
+        below[j] = mask
+        closed[g] = mask | 1 << j
+    return below
 
 
-def _swap_neighbors(pairs: tuple[Pair, ...], comm) -> Iterator[tuple[Pair, ...]]:
-    for i in range(len(pairs) - 1):
-        (g, e), (h, f) = pairs[i], pairs[i + 1]
-        if g != h and comm[g][h]:
-            yield pairs[:i] + ((h, f), (g, e)) + pairs[i + 2:]
+def minimal_representatives(word: Word, cap: int = DEFAULT_CAP) -> list[Word]:
+    """All minimal-syllable words representing the element, sorted by
+    their (vertex index, exponent) pairs.
+
+    Minimal words differ from the normal form only by move-(3) swaps, and
+    the words so reached are exactly the linear extensions of its heap
+    (Cartier-Foata 1969): each word lists every syllable after those below
+    it.  They are listed depth first with an explicit stack (Varol-Rotem
+    1981), one syllable at a time from the ready set, the syllables whose
+    lower syllables are all placed.  The ready set holds at most one
+    syllable per generator, the first unplaced one, and two ready
+    syllables have distinct commuting generators, as dependent ones are
+    ordered.  Placing a syllable of generator g can only make ready the
+    next syllable of a generator in ``dependence[g]``.  The choices are
+    taken in increasing generator index, and two words first differ at
+    two ready syllables, so at two generators: the list comes out
+    sorted, each word once.  Each word is built from the normal form's
+    own syllables.
+
+    Raises CapExceeded once more than ``cap`` words are found; a word
+    with one representative returns it for any ``cap``.
+    """
+    canonical = normalize(word)
+    graph, syllables = canonical.graph, canonical.syllables
+    k = len(syllables)
+    below, dependence, index = heap_masks(canonical), graph.dependence, graph.index
+    gens = [index[s.generator] for s in syllables]
+    first = [-1] * len(graph.vertices)  # the first unplaced syllable of each generator
+    after = [-1] * k  # the next syllable of the same generator
+    for p in range(k - 1, -1, -1):
+        after[p], first[gens[p]] = first[gens[p]], p
+    unplaced = (1 << k) - 1
+    path = [0] * k  # the syllables placed, by depth
+    ready = [[g for g, p in enumerate(first) if p >= 0 and not below[p]]] + [None] * k
+    cursor = [0] * (k + 1)  # the next choice in ready[depth]
+    reps: list[Word] = []
+    depth = 0
+    while depth >= 0:
+        if depth == k:
+            if reps and len(reps) >= cap:
+                raise CapExceeded(f"more than {cap} minimal representatives", cap=cap)
+            reps.append(Word(tuple(map(syllables.__getitem__, path)), graph))
+        else:
+            choices, c = ready[depth], cursor[depth]
+            if c < len(choices):
+                cursor[depth] = c + 1
+                g = choices[c]
+                p = path[depth] = first[g]
+                first[g] = after[p]
+                unplaced ^= 1 << p
+                child = choices[:c] + choices[c + 1:]
+                for h in dependence[g]:
+                    q = first[h]
+                    if q >= 0 and not below[q] & unplaced:
+                        child.append(h)
+                child.sort()
+                depth += 1
+                ready[depth], cursor[depth] = child, 0
+                continue
+        depth -= 1  # backtrack: unplace the syllable placed at this depth
+        if depth >= 0:
+            p = path[depth]
+            first[gens[p]] = p
+            unplaced |= 1 << p
+    return reps
 
 
 def _move_neighbors(pairs: tuple[Pair, ...], comm) -> Iterator[tuple[Pair, ...]]:
@@ -381,18 +451,6 @@ def _move_neighbors(pairs: tuple[Pair, ...], comm) -> Iterator[tuple[Pair, ...]]
             yield pairs[:i] + ((h, f), (g, e)) + pairs[i + 2:]
 
 
-def minimal_representatives(word: Word, cap: int = DEFAULT_CAP) -> list[Word]:
-    """All minimal-syllable words representing the element: the closure of
-    the normal form under move-(3) swaps.  Deterministically sorted.
-
-    Raises CapExceeded as soon as the closure grows past ``cap``.
-    """
-    error = CapExceeded(f"more than {cap} minimal representatives", cap=cap)
-    start = _encode(normalize(word))
-    seen = _capped_closure(start, _swap_neighbors, word.graph.commutation_matrix, cap, error)
-    return [_decode(p, word.graph) for p in sorted(seen)]
-
-
 def oracle_min_syllables(word: Word, budget: int = DEFAULT_CAP) -> int:
     """Ground truth for the normal form: breadth-first search over every
     word reachable by moves (1)-(3), returning the fewest syllables seen.
@@ -401,6 +459,17 @@ def oracle_min_syllables(word: Word, budget: int = DEFAULT_CAP) -> int:
     meant for words small enough to enumerate.  Raises
     SearchBudgetExceeded once more than ``budget`` words have been visited.
     """
-    error = SearchBudgetExceeded(f"visited more than {budget} words", budget=budget)
     comm = word.graph.commutation_matrix
-    return min(map(len, _capped_closure(_encode(word), _move_neighbors, comm, budget, error)))
+    start = _encode(word)
+    seen = {start}
+    frontier = deque([start])
+    while frontier:
+        for nxt in _move_neighbors(frontier.popleft(), comm):
+            if nxt not in seen:
+                if len(seen) >= budget:
+                    raise SearchBudgetExceeded(
+                        f"visited more than {budget} words", budget=budget
+                    )
+                seen.add(nxt)
+                frontier.append(nxt)
+    return min(map(len, seen))

@@ -2,12 +2,14 @@
 
 Everything above the enumeration references is deliberately written
 from scratch against the move definitions, without reusing the
-library's search or ordering code.  The enumeration references at the
+library's search or ordering code.  ``swap_closure_representatives``
+sorts the swap closure of the normal form, the reference for the heap
+walk of ``minimal_representatives``.  The enumeration references at the
 end keep the exhaustive algorithms that the dependence poset replaced,
-run over ``minimal_representatives`` (which the acceptance suite checks
-against ``naive_swap_closure``), and the trial-conjugation reduction
-that multiplies out each candidate conjugate instead of reading the
-merge off the heap.
+run over that closure rather than over ``minimal_representatives``, so
+that nothing compared with the heap is computed from the heap; and the
+trial-conjugation reduction that multiplies out each candidate
+conjugate instead of reading the merge off the heap.
 """
 
 from __future__ import annotations
@@ -22,11 +24,11 @@ from raagmcg import (
     Word,
     empty_word,
     invert,
-    minimal_representatives,
     multiply,
     normalize,
     syllable_order,
     syllable_subsurface_map,
+    word_from_pairs,
 )
 
 
@@ -48,6 +50,18 @@ def naive_swap_closure(word: Word) -> set[tuple[tuple[str, int], ...]]:
                         closure.add(swapped)
                         grew = True
     return closure
+
+
+def swap_closure_representatives(word: Word) -> list[Word]:
+    """The ``naive_swap_closure`` of the normal form, as words sorted by
+    their (vertex index, exponent) pairs."""
+    graph = word.graph
+
+    def key(pairs):
+        return [(graph.index[g], e) for g, e in pairs]
+
+    closure = naive_swap_closure(normalize(word))
+    return [word_from_pairs(graph, pairs) for pairs in sorted(closure, key=key)]
 
 
 def positional_ids(syllables) -> list[tuple[str, int, int]]:
@@ -103,11 +117,11 @@ def _ids(word: Word) -> list[SyllableId]:
 
 def enumerated_order(word: Word) -> tuple[tuple, frozenset]:
     """(elements, precedes) by intersecting the positional orders of all
-    minimal representatives."""
+    words of the swap closure."""
     canonical = normalize(word)
     elements = tuple(_ids(canonical))
     precedes = None
-    for rep in minimal_representatives(canonical):
+    for rep in swap_closure_representatives(canonical):
         ids = _ids(rep)
         pairs = {(s, t) for i, s in enumerate(ids) for t in ids[i + 1:]}
         precedes = pairs if precedes is None else precedes & pairs
@@ -130,7 +144,7 @@ def _enumerated_reduction(current: Word):
     # Outcomes are memoised per conjugation, which keeps the order.
     k = len(current.syllables)
     tried = {}
-    for rep in minimal_representatives(current):
+    for rep in swap_closure_representatives(current):
         for side, syllable in (("first", rep.syllables[0]), ("last", rep.syllables[-1])):
             if (side, syllable) not in tried:
                 one = Word((syllable,), current.graph)
@@ -214,7 +228,7 @@ def enumerated_order_embedding(word: Word) -> CheckResult:
                 )
     _, precedes = enumerated_order(canonical)
     graph = word.graph
-    reps = [(rep, _ids(rep)) for rep in minimal_representatives(canonical)]
+    reps = [(rep, _ids(rep)) for rep in swap_closure_representatives(canonical)]
     for i, s in enumerate(ids):
         for t in ids[i + 1:]:
             if (s, t) in precedes or (t, s) in precedes:

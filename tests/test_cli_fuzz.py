@@ -4,8 +4,9 @@ process: valid and mutated graph JSON, realization JSON mutated from
 end in exit 0, in exit 1 with an error JSON on stdout that names a
 ``RaagError`` subclass, or in exit 2 from argparse; no other exception
 may escape.  Fixed cases after the seeded corpus cover float overflow in
-certificates, integers of more digits than ``int`` converts and files
-that cannot be opened."""
+certificates, integers of more digits than ``int`` converts, files
+that cannot be opened, JSON nested past the parser's stack and a
+realization that declares a curve twice."""
 
 import contextlib
 import copy
@@ -210,6 +211,31 @@ def test_cli_fixed_cases_name_raag_errors(tmp_path):
         (["order", "--graph", directory, "--word", "a"], "MalformedGraph", {"path": directory}),
         (classify + ["--realization", missing], "MalformedRealization", {"path": missing}),
         (classify + ["--realization", directory], "MalformedRealization", {"path": directory}),
+    ]
+    for argv, error, details in cases:
+        code, usage, out = _run(argv)
+        assert (code, usage) == (1, False), argv
+        data = _strict_json(out)
+        assert (data["error"], data["details"]) == (error, details), argv
+
+
+def test_cli_fixed_cases_nested_json_and_duplicate_curves(tmp_path):
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({"vertices": ["a", "b"], "edges": []}))
+    nested = tmp_path / "nested.json"  # deeper than the JSON parser's stack
+    nested.write_text("[" * 100_000 + "]" * 100_000)
+    code, _, text = _run(["realize", "--graph", str(graph)])
+    assert code == 0, text
+    data = json.loads(text)
+    data["curves"].append("tau_b")
+    duplicate = tmp_path / "duplicate.json"
+    duplicate.write_text(json.dumps(data))
+    on_graph = ["--graph", str(graph), "--word", "a", "--realization"]
+    cases = [
+        (["normalize", "--graph", str(nested), "--word", "a"], "MalformedGraph", {}),
+        (["classify"] + on_graph + [str(nested)], "MalformedRealization", {}),
+        (["classify"] + on_graph + [str(duplicate)], "DuplicateCurve", {"curve": "tau_b"}),
+        (["verify"] + on_graph + [str(duplicate)], "DuplicateCurve", {"curve": "tau_b"}),
     ]
     for argv, error, details in cases:
         code, usage, out = _run(argv)

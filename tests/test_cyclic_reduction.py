@@ -30,7 +30,7 @@ def rounds(monkeypatch):
     """Counts of reduction rounds, of those that cancel a minimal partner
     other than the first syllable, of normal forms and of heap builds."""
     find_reduction, normalize_pairs, heap = (
-        syllables._find_reduction, words._normalize_pairs, syllables._heap
+        syllables._find_reduction, words._normalize_pairs, syllables.heap_masks
     )
     counts = {"rounds": 0, "renormalizing": 0, "normal forms": 0, "heaps": 0}
 
@@ -55,7 +55,7 @@ def rounds(monkeypatch):
 
     monkeypatch.setattr(syllables, "_find_reduction", reduction_round)
     monkeypatch.setattr(words, "_normalize_pairs", normal_form)
-    monkeypatch.setattr(syllables, "_heap", heap_build)
+    monkeypatch.setattr(syllables, "heap_masks", heap_build)
     return counts
 
 

@@ -10,6 +10,7 @@ import pytest
 from raagmcg import (
     DefiningGraph,
     DisjointnessMismatch,
+    DuplicateCurve,
     DuplicateVertex,
     NestingDetected,
     Realization,
@@ -108,6 +109,16 @@ def test_duplicate_subsurface_is_duplicate_vertex():
     with pytest.raises(DuplicateVertex) as err:
         validate_realization(bad)
     assert err.value.details == {"label": "a"}
+
+
+def test_duplicate_reference_curve_is_duplicate_curve():
+    g = DefiningGraph.from_data("ab", [])
+    standard = build_standard_realization(g)
+    curves = standard.reference_curves
+    bad = Realization(g, standard.subsurfaces, curves + curves[1:2] + curves[:1], "custom")
+    with pytest.raises(DuplicateCurve) as err:
+        validate_realization(bad)
+    assert err.value.details == {"curve": curves[1]}
 
 
 def test_standard_realization_validates_on_random_graphs():
