@@ -63,6 +63,7 @@ __all__ = [
     "DuplicateCurve",
     "DuplicateVertex",
     "GraphMismatch",
+    "IntegerTooLong",
     "InvalidConstants",
     "MalformedGraph",
     "MalformedRealization",

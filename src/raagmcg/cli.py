@@ -15,7 +15,9 @@ import json
 import os
 import sys
 
-from .errors import GraphMismatch, MalformedGraph, MalformedRealization, RaagError
+from .errors import (
+    GraphMismatch, IntegerTooLong, MalformedGraph, MalformedRealization, RaagError,
+)
 
 ENV_CAP = "RAAGMCG_CAP"
 
@@ -95,7 +97,13 @@ def _emit(text: str) -> None:
 
 
 def _emit_json(obj) -> None:
-    _emit(json.dumps(obj, indent=2, allow_nan=False))
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError as err:
+        if "integer string conversion" not in str(err):  # CPython's digit-limit message
+            raise
+        raise IntegerTooLong() from None
+    _emit(text)
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:

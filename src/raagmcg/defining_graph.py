@@ -142,7 +142,10 @@ class DefiningGraph:
     def dependence(self) -> tuple[tuple[int, ...], ...]:
         """dependence[i] lists, in vertex order, generator i and the
         generators that do not commute with it: the ones whose syllables
-        never pass a syllable of i."""
+        never pass a syllable of i.  It is the one source of the
+        dependence relation for the words module: the greedy pass of the
+        normal form, ``heap_masks`` and ``minimal_representatives`` read
+        it.  Computed on first use, not when the graph is built."""
         return tuple([
             tuple([j for j, commutes in enumerate(row) if i == j or not commutes])
             for i, row in enumerate(self.commutation_matrix)

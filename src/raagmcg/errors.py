@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 
 class RaagError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -98,3 +100,18 @@ class InvalidConstants(RaagError):
 
 class NotFilling(RaagError):
     pass
+
+
+class IntegerTooLong(RaagError):
+    """Raised where an answer's integer becomes text and has more digits
+    than Python converts (details ``limit``, read from
+    ``sys.get_int_max_str_digits()``).  The package keeps that limit;
+    a caller that wants longer answers lifts it with
+    ``sys.set_int_max_str_digits``."""
+
+    def __init__(self):
+        limit = sys.get_int_max_str_digits()
+        super().__init__(
+            f"the answer holds an integer of more than {limit} digits, "
+            "more than Python converts to text", limit=limit,
+        )

@@ -48,7 +48,7 @@ from numbers import Real
 from typing import Mapping
 
 from .defining_graph import DefiningGraph
-from .errors import InvalidConstants
+from .errors import IntegerTooLong, InvalidConstants
 from .syllables import SyllableId, _ids_of_sequence, syllable_ids, syllable_order
 from .words import (
     DEFAULT_CAP,
@@ -251,10 +251,11 @@ class Constants:
             raise InvalidConstants(f"K >= 20 violated (K = {self.k})", field="K")
         k_sum = _k_sum(self.k0, self.d)
         if self.k != k_sum:
-            raise InvalidConstants(
-                f"K must equal K0 + 20 + 2*D (got K = {self.k}, K0 + 20 + 2*D = {k_sum})",
-                field="K",
-            )
+            try:
+                got = f" (got K = {self.k}, K0 + 20 + 2*D = {k_sum})"
+            except ValueError:  # an int past the int-to-str digit limit
+                got = ""
+            raise InvalidConstants(f"K must equal K0 + 20 + 2*D{got}", field="K")
         if self.k0 <= 0:
             raise InvalidConstants("K0 must be positive", field="K0")
         if self.d < 0:
@@ -374,4 +375,7 @@ def _total(k, letters: int):
 def _fmt(x) -> str:
     if isinstance(x, float) and x.is_integer():
         return str(int(x))
-    return str(x)
+    try:
+        return str(x)
+    except ValueError:  # an int past the int-to-str digit limit
+        raise IntegerTooLong() from None

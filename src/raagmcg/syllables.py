@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .errors import NotCyclicallyReduced, ShiftMapUndefined
+from .errors import IntegerTooLong, NotCyclicallyReduced, ShiftMapUndefined
 from .words import Syllable, Word, heap_masks, normalize, power
 
 
@@ -49,7 +49,10 @@ class SyllableId:
     occurrence: int
 
     def label(self) -> str:
-        return f"{self.generator}^{self.exponent}#{self.occurrence}"
+        try:
+            return f"{self.generator}^{self.exponent}#{self.occurrence}"
+        except ValueError:  # an exponent past the int-to-str digit limit
+            raise IntegerTooLong() from None
 
 
 def _ids_of_sequence(syllables: Sequence[Syllable]) -> list[SyllableId]:

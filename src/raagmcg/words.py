@@ -25,6 +25,18 @@ count.  ``normalize`` produces a canonical minimal word in two phases:
     (a left-greedy choice of one representative among all minimal
     words, which differ only by move-(3) swaps).
 
+The result is the lexicographic normal form of the trace (Cartier-Foata
+1969; Anisimov-Knuth, "Inhomogeneous sorting", 1979).  A pending syllable
+can be moved to the front exactly when its generator lies outside the
+blocked set, the union of ``DefiningGraph.dependence`` over the pending
+syllables before it.  Each tuple also holds its own generator, which
+blocks nothing more in a minimal word (see ``_left_greedy``).  So the
+greedy phase costs O(k^2) unions of dependence tuples for k syllables.
+A linear pass, Kahn's algorithm on the heap with a priority queue keyed
+by vertex index, picks the same syllables; it waits until the benchmark
+keeps a bounded record per operation, since today a faster normal form
+shows there as more memory.
+
 Termination: each insertion either appends or strictly decreases the
 pair (syllable count, letter length); the greedy pass only permutes a
 fixed multiset.  Exponents are plain Python integers, so powers never
@@ -45,8 +57,8 @@ from typing import Iterable, Iterator
 
 from .defining_graph import DefiningGraph
 from .errors import (
-    CapExceeded, GraphMismatch, MalformedWord, MoveNotApplicable, SearchBudgetExceeded,
-    UnknownVertex,
+    CapExceeded, GraphMismatch, IntegerTooLong, MalformedWord, MoveNotApplicable,
+    SearchBudgetExceeded, UnknownVertex,
 )
 
 DEFAULT_CAP = 100_000
@@ -81,10 +93,13 @@ class Word:
                 )
 
     def __str__(self) -> str:
-        return " ".join(
-            s.generator if s.exponent == 1 else f"{s.generator}^{s.exponent}"
-            for s in self.syllables
-        )
+        try:
+            return " ".join(
+                s.generator if s.exponent == 1 else f"{s.generator}^{s.exponent}"
+                for s in self.syllables
+            )
+        except ValueError:  # an exponent past the int-to-str digit limit
+            raise IntegerTooLong() from None
 
     def __repr__(self) -> str:
         return f"Word({str(self)!r})"
@@ -199,12 +214,17 @@ def _minimal_pairs(pairs: Iterable[Pair], comm) -> list[Pair]:
     return out
 
 
-def _left_greedy(pairs: list[Pair], comm) -> tuple[Pair, ...]:
-    # Among the syllables movable to the front (everything earlier
-    # commutes with them), emit the one with the smallest vertex index.
-    # Movable candidates always carry distinct generators, so the index
-    # breaks every tie.
-    n = len(comm)
+def _left_greedy(pairs: list[Pair], dependence) -> tuple[Pair, ...]:
+    """Emit, among the pending syllables movable to the front, the one
+    with the smallest vertex index, until none is pending.
+
+    A pending syllable of generator g is movable exactly when g lies
+    outside ``blocked``, the union of ``dependence[h]`` over the pending
+    syllables before it.  The union also holds each h itself, which blocks
+    nothing more: in a minimal word two syllables of one generator have a
+    non-commuting syllable between them, which already blocks the later
+    one and cannot be emitted before the earlier one.  Movable syllables
+    so carry distinct generators, and the index breaks every tie."""
     pending = list(pairs)
     out: list[Pair] = []
     while pending:
@@ -213,19 +233,18 @@ def _left_greedy(pairs: list[Pair], comm) -> tuple[Pair, ...]:
         for i, (g, _) in enumerate(pending):
             if g not in blocked and (best is None or g < pending[best][0]):
                 best = i
-            row = comm[g]
-            blocked.update(h for h in range(n) if not row[h])
+            blocked.update(dependence[g])
         out.append(pending.pop(best))
     return tuple(out)
 
 
-def _normalize_pairs(pairs: Iterable[Pair], comm) -> tuple[Pair, ...]:
-    return _left_greedy(_minimal_pairs(pairs, comm), comm)
+def _normalize_pairs(pairs: Iterable[Pair], graph: DefiningGraph) -> tuple[Pair, ...]:
+    return _left_greedy(_minimal_pairs(pairs, graph.commutation_matrix), graph.dependence)
 
 
 def _normal_form(pairs: Iterable[Pair], graph: DefiningGraph) -> Word:
     """The canonical word of the encoded pairs, marked as canonical."""
-    word = _decode(_normalize_pairs(pairs, graph.commutation_matrix), graph)
+    word = _decode(_normalize_pairs(pairs, graph), graph)
     object.__setattr__(word, "_canonical", True)
     return word
 

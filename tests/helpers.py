@@ -1,8 +1,10 @@
 """Independent brute-force routines the tests check the library against.
 
-Everything above the enumeration references is deliberately written
+Everything above the greedy-pass reference is deliberately written
 from scratch against the move definitions, without reusing the
-library's search or ordering code.  ``swap_closure_representatives``
+library's search or ordering code.  ``reference_left_greedy`` keeps the
+normal form's greedy pass as it scanned the commutation matrix, before
+it read the dependence tuples.  ``swap_closure_representatives``
 sorts the swap closure of the normal form, the reference for the heap
 walk of ``minimal_representatives``.  The enumeration references at the
 end keep the exhaustive algorithms that the dependence poset replaced,
@@ -104,6 +106,33 @@ def conjugacy_oracle_min_syllables(word: Word, letter_bound: int) -> int:
             conjugate = multiply(multiply(tau, word), invert(tau))
             best = min(best, len(conjugate.syllables))
     return best
+
+
+# -- greedy-pass reference ------------------------------------------------------
+
+
+def reference_left_greedy(pairs, comm):
+    """The greedy pass of the normal form as it was before it read
+    ``DefiningGraph.dependence``: each pending syllable blocks the
+    generators whose row of the commutation matrix is False.  Takes the
+    minimal (vertex index, exponent) pairs and the matrix."""
+    # Among the syllables movable to the front (everything earlier
+    # commutes with them), emit the one with the smallest vertex index.
+    # Movable candidates always carry distinct generators, so the index
+    # breaks every tie.
+    n = len(comm)
+    pending = list(pairs)
+    out = []
+    while pending:
+        best = None
+        blocked: set[int] = set()
+        for i, (g, _) in enumerate(pending):
+            if g not in blocked and (best is None or g < pending[best][0]):
+                best = i
+            row = comm[g]
+            blocked.update(h for h in range(n) if not row[h])
+        out.append(pending.pop(best))
+    return tuple(out)
 
 
 # -- enumeration references ----------------------------------------------------

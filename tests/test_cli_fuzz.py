@@ -5,14 +5,18 @@ end in exit 0, in exit 1 with an error JSON on stdout that names a
 ``RaagError`` subclass, or in exit 2 from argparse; no other exception
 may escape.  Fixed cases after the seeded corpus cover float overflow in
 certificates, integers of more digits than ``int`` converts, files
-that cannot be opened, JSON nested past the parser's stack and a
-realization that declares a curve twice."""
+that cannot be opened, JSON nested past the parser's stack, a
+realization that declares a curve twice and answers holding an integer
+of more digits than Python converts to text.  A second seeded corpus
+replaces one value of a valid graph or realization file with a nested
+or oversized JSON shape."""
 
 import contextlib
 import copy
 import io
 import json
 import random
+import sys
 
 from raagmcg import errors
 from raagmcg.cli import main
@@ -242,3 +246,98 @@ def test_cli_fixed_cases_nested_json_and_duplicate_curves(tmp_path):
         assert (code, usage) == (1, False), argv
         data = _strict_json(out)
         assert (data["error"], data["details"]) == (error, details), argv
+
+
+def test_cli_fixed_cases_integers_too_long_to_print(tmp_path):
+    # Valid inputs whose answers hold an integer one digit past the limit,
+    # and constants whose error message would print such an integer.
+    limit = sys.get_int_max_str_digits()
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({"vertices": ["a", "b"], "edges": []}))
+    nines = "a^" + "9" * limit
+    on_graph = ["--graph", str(graph), "--word", f"{nines} {nines}"]
+    too_long = ("IntegerTooLong", {"limit": limit})
+    certify = ["certify", "--graph", str(graph), "--word", "a^10", "--k0"]
+    cases = [([command] + on_graph, too_long)
+             for command in ("normalize", "order", "reduce", "classify")]
+    cases += [
+        (certify + ["1" + "0" * (limit - 1)], too_long),
+        (certify + ["9" * limit, "--k", "100"], ("InvalidConstants", {"field": "K"})),
+    ]
+    for argv, (error, details) in cases:
+        code, usage, out = _run(argv)
+        assert (code, usage) == (1, False), argv
+        data = _strict_json(out)
+        assert (data["error"], data["details"]) == (error, details), argv
+
+
+STRUCTURE_SEED = 20261019
+STRUCTURE_CASES = 120
+MAX_DEPTH = 6
+
+
+def _shape(rng, depth=0):
+    # A JSON value: lists and dicts nested up to MAX_DEPTH, integers of up
+    # to 4,200 digits, strings of up to 100,000 characters, or a scalar.
+    kind = rng.randrange(7 if depth < MAX_DEPTH else 5)
+    if kind == 0:
+        digits = rng.choices("0123456789", k=rng.randint(1, 4200))
+        return rng.choice([-1, 1]) * int("".join(digits))
+    if kind == 1:
+        return "".join(rng.choices('ab "\\^#é\n', k=rng.randint(0, 100_000)))
+    if kind == 2:
+        return rng.choice(["a", "b", "gamma_a", "tau_b", "standard", ""])
+    if kind == 3:
+        return rng.choice([None, True, False, 0, -1, 2.5])
+    if kind == 4:
+        return []
+    if kind == 5:
+        return [_shape(rng, depth + 1) for _ in range(rng.randint(1, 4))]
+    return {rng.choice(["a", "vertex", "core", "edges", "x"]): _shape(rng, depth + 1)
+            for _ in range(rng.randint(1, 4))}
+
+
+def _slots(value):
+    # Every (container, key) pair of a JSON value: dict keys and list items.
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield value, key
+        yield from _slots(child)
+
+
+def test_cli_structural_fuzz_names_raag_errors(tmp_path):
+    rng = random.Random(STRUCTURE_SEED)
+    graph_payload = {"vertices": ["a", "b", "c"], "edges": [["a", "b"]]}
+    valid_graph = tmp_path / "valid.json"
+    valid_graph.write_text(json.dumps(graph_payload))
+    code, _, text = _run(["realize", "--graph", str(valid_graph)])
+    assert code == 0, text
+    realization_payload = json.loads(text)
+    escapes = []
+    for case in range(STRUCTURE_CASES):
+        on_realization = rng.random() < 0.5
+        data = copy.deepcopy(realization_payload if on_realization else graph_payload)
+        container, key = rng.choice(list(_slots(data)))
+        container[key] = _shape(rng)
+        mutated = tmp_path / f"mutated{case}.json"
+        mutated.write_text(json.dumps(data))
+        graph, extra = (valid_graph, ["--realization", str(mutated)]) if on_realization \
+            else (mutated, [])
+        word = ["--word", "a b^2 c^-1 a"]
+        for argv in (["normalize", "--graph", str(graph)] + word,
+                     ["classify", "--graph", str(graph)] + word + extra,
+                     ["realize", "--graph", str(graph)] + extra):
+            try:
+                code, usage, out = _run(argv)
+            except Exception as err:  # an escape: record it and go on
+                escapes.append((case, argv[0], repr(err)[:200]))
+                continue
+            assert code in (0, 1, 2), (case, argv[0])
+            if code == 1:
+                assert _strict_json(out)["error"] in RAAG_ERRORS, (case, argv[0])
+    assert escapes == []
