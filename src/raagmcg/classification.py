@@ -24,8 +24,10 @@ from fractions import Fraction
 
 from .errors import GraphMismatch, NotCyclicallyReduced, NotFilling
 from .realization import Realization, build_standard_realization, fill
-from .syllables import cyclically_reduce, is_cyclically_reduced, power_shift_map, syllable_order
-from .words import DEFAULT_CAP, Word, concatenated_power, normalize, oracle_min_syllables, power
+from .syllables import cyclically_reduce, is_cyclically_reduced, syllable_ids
+from .words import (
+    DEFAULT_CAP, Word, concatenated_power, heap_masks, is_minimal, normalize, oracle_min_syllables,
+)
 
 ASSUMPTIONS = ("tau_X(f_i) >= C for all i", "realization is nice")
 
@@ -132,6 +134,10 @@ FAIL = "fail"
 PRECONDITION_UNMET = "precondition_unmet"
 
 
+def _entry(status: str, note: str) -> dict[str, str]:
+    return {"status": status, "note": note}
+
+
 def verify_power_properties(
     word: Word,
     cap: int = DEFAULT_CAP,
@@ -159,6 +165,21 @@ def verify_power_properties(
     Both are read off one ``fill`` of the support.  A realization over
     another defining graph raises GraphMismatch, as in ``classify``.
     ``cap`` bounds nothing: no check here enumerates representatives.
+
+    Every power is read off the n-fold concatenation of the canonical
+    word, and only the word itself is normalized.  A concatenation that
+    ``is_minimal`` accepts is a minimal representative of w^n, so its
+    ``heap_masks`` are the syllable order of w^n.  Syllables of one
+    generator never pass each other, so position b·k + i of it, k the
+    syllable count of w, is the copy of syllable i in block b + 1, the
+    one ``power_shift_map`` sends syllable i to.  So syllable i precedes
+    its shifted copy when bit i of ``square[k + i]`` is set, and precedes
+    the last block's copy of syllable j when bit i of ``high[r·k + j]``
+    is; the labels are the ``syllable_ids`` of the word.  A
+    concatenation that collapses has another heap: its dependent check
+    fails, with every syllable or pair reported missing.  That cannot
+    happen under the classifier's lemma, and the exhaustive oracle runs
+    on every checked power before any order is read.
     """
     canonical = normalize(word)
     if not is_cyclically_reduced(canonical):
@@ -170,12 +191,10 @@ def verify_power_properties(
         raise GraphMismatch("word and realization use different defining graphs")
     r = len(canonical.support())
     if r == 0:
-        status = {"status": PASS, "note": "empty word; nothing to check"}
         return {
-            "image_coverage": dict(status),
-            "power_minimality": dict(status),
-            "square_precedence": dict(status),
-            "power_comparability": dict(status),
+            name: _entry(PASS, "empty word; nothing to check")
+            for name in ("image_coverage", "power_minimality", "square_precedence",
+                         "power_comparability")
         }
 
     # Coverage: a curve that some syllable's base meets is met by the first
@@ -184,18 +203,13 @@ def verify_power_properties(
     # in syllable order, so a vertex without a subsurface is reported at
     # its first syllable.
     filled = fill(realization, [s.generator for s in canonical.syllables])
-    report: dict[str, dict] = {}
     if filled.fills_ambient:
-        report["image_coverage"] = {
-            "status": PASS,
-            "note": "every reference curve meets a syllable image",
-        }
+        report = {"image_coverage": _entry(PASS, "every reference curve meets a syllable image")}
     else:
         uncovered = sorted(filled.uncovered_curves, key=realization.reference_curves.index)
-        report["image_coverage"] = {
-            "status": PRECONDITION_UNMET,
-            "note": f"support does not fill; uncovered curves {uncovered}",
-        }
+        report = {"image_coverage": _entry(
+            PRECONDITION_UNMET, f"support does not fill; uncovered curves {uncovered}"
+        )}
 
     if r < 2 or len(filled.components) != 1:
         note = (
@@ -203,47 +217,44 @@ def verify_power_properties(
             if r < 2
             else "support is disconnected in the complement graph"
         )
-        skipped = {"status": PRECONDITION_UNMET, "note": note}
-        report["power_minimality"] = dict(skipped)
-        report["square_precedence"] = dict(skipped)
-        report["power_comparability"] = dict(skipped)
+        for name in ("power_minimality", "square_precedence", "power_comparability"):
+            report[name] = _entry(PRECONDITION_UNMET, note)
         return report
 
     k = len(canonical.syllables)
     checked = range(2, max_power + 1)
-    powers = {n: power(canonical, n) for n in {*checked, 2, r + 1}}
-    bad_powers = []
-    for n in checked:
-        found = oracle_min_syllables(concatenated_power(canonical, n), oracle_budget)
-        if found != n * k or len(powers[n].syllables) != n * k:
-            bad_powers.append(n)
+    concatenations = {n: concatenated_power(canonical, n) for n in {*checked, 2, r + 1}}
+    minimal = {n: is_minimal(power) for n, power in concatenations.items()}
+    bad_powers = [
+        n for n in checked
+        if oracle_min_syllables(concatenations[n], oracle_budget) != n * k or not minimal[n]
+    ]
     report["power_minimality"] = (
-        {"status": PASS, "note": f"powers 2..{max_power} stay minimal"}
+        _entry(PASS, f"powers 2..{max_power} stay minimal")
         if not bad_powers
-        else {"status": FAIL, "note": f"powers {bad_powers} collapse"}
+        else _entry(FAIL, f"powers {bad_powers} collapse")
     )
 
-    square_order = syllable_order(powers[2])
-    shift_one = power_shift_map(canonical, 1, 2)
-    ids = list(shift_one)
-    misses = [s.label() for s in ids if (s, shift_one[s]) not in square_order.precedes]
+    # A collapsed concatenation is read as no order at all.
+    square, high = [
+        heap_masks(concatenations[n]) if minimal[n] else [0] * (n * k) for n in (2, r + 1)
+    ]
+    ids = syllable_ids(canonical)
+    misses = [s.label() for i, s in enumerate(ids) if not square[k + i] >> i & 1]
     report["square_precedence"] = (
-        {"status": PASS, "note": "every syllable precedes its shifted copy"}
+        _entry(PASS, "every syllable precedes its shifted copy")
         if not misses
-        else {"status": FAIL, "note": f"syllables {misses} do not precede their shifts"}
+        else _entry(FAIL, f"syllables {misses} do not precede their shifts")
     )
-
-    high_order = syllable_order(powers[r + 1])
-    shift_r = power_shift_map(canonical, 1, r + 1)
     miss_pairs = [
         (s.label(), t.label())
-        for s in ids
-        for t in ids
-        if (s, shift_r[t]) not in high_order.precedes
+        for i, s in enumerate(ids)
+        for j, t in enumerate(ids)
+        if not high[r * k + j] >> i & 1
     ]
     report["power_comparability"] = (
-        {"status": PASS, "note": f"all pairs comparable across {r} blocks"}
+        _entry(PASS, f"all pairs comparable across {r} blocks")
         if not miss_pairs
-        else {"status": FAIL, "note": f"incomparable pairs {miss_pairs[:5]}"}
+        else _entry(FAIL, f"incomparable pairs {miss_pairs[:5]}")
     )
     return report

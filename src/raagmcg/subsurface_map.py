@@ -202,6 +202,17 @@ def _k_sum(k0, d):
         ) from None
 
 
+def _invalid(field: str, plain: str, template: str, *values) -> InvalidConstants:
+    """InvalidConstants with ``template`` filled in with ``values``, or
+    with ``plain`` when a value is an int past the int-to-str digit limit
+    and cannot be printed."""
+    try:
+        message = template.format(*values)
+    except ValueError:
+        message = plain
+    return InvalidConstants(message, field=field)
+
+
 @dataclass(frozen=True)
 class Constants:
     """The constant pack behind a certificate.
@@ -248,20 +259,19 @@ class Constants:
 
     def validate(self, graph: DefiningGraph) -> None:
         if self.k < 20:
-            raise InvalidConstants(f"K >= 20 violated (K = {self.k})", field="K")
+            raise _invalid("K", "K >= 20 violated", "K >= 20 violated (K = {})", self.k)
         k_sum = _k_sum(self.k0, self.d)
         if self.k != k_sum:
-            try:
-                got = f" (got K = {self.k}, K0 + 20 + 2*D = {k_sum})"
-            except ValueError:  # an int past the int-to-str digit limit
-                got = ""
-            raise InvalidConstants(f"K must equal K0 + 20 + 2*D{got}", field="K")
+            raise _invalid(
+                "K", "K must equal K0 + 20 + 2*D",
+                "K must equal K0 + 20 + 2*D (got K = {}, K0 + 20 + 2*D = {})", self.k, k_sum,
+            )
         if self.k0 <= 0:
             raise InvalidConstants("K0 must be positive", field="K0")
         if self.d < 0:
             raise InvalidConstants("D must be nonnegative", field="D")
         if self.c != 2 * self.k:
-            raise InvalidConstants(f"C must equal 2*K (got {self.c})", field="C")
+            raise _invalid("C", "C must equal 2*K", "C must equal 2*K (got {})", self.c)
         if self.a < 1:
             raise InvalidConstants("A must be at least 1", field="A")
         if self.b < 0:
@@ -270,8 +280,9 @@ class Constants:
             if v not in self.tau:
                 raise InvalidConstants(f"tau undefined for vertex {v!r}", field="tau")
             if self.tau[v] < self.c:
-                raise InvalidConstants(
-                    f"tau({v}) = {self.tau[v]} is below C = {self.c}", field="tau"
+                raise _invalid(
+                    "tau", f"tau({v}) is below C", "tau({}) = {} is below C = {}",
+                    v, self.tau[v], self.c,
                 )
         _check_number("C", self.c)  # last, so the checks above keep their order
 

@@ -24,9 +24,9 @@ is conjugated around the word, and no trial conjugate is computed.
 
 Each public function normalizes its input, and ``normalize`` returns a
 canonical word as it is: a caller passes on the word it has normalized,
-and no normal form is computed twice.  ``heap_masks`` takes a canonical
-word, and ``_find_reduction`` the heap of one, which cyclic reduction keeps
-and edits across its rounds.
+and no normal form is computed twice.  ``heap_masks`` takes a minimal
+word, canonical or not, and ``_find_reduction`` the heap of a canonical
+one, which cyclic reduction keeps and edits across its rounds.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Words in a right-angled Artin group and the three rewriting moves.
 
 This is the engine behind every other module: minimal-syllable normal
-forms, group arithmetic, the heap of a canonical word (``heap_masks``,
+forms, group arithmetic, the heap of a minimal word (``heap_masks``,
 the one builder of the syllable order), enumeration of all minimal
 representatives as the linear extensions of that heap, and the
 exhaustive breadth-first oracle over moves (1)-(3) used to certify the
@@ -364,11 +364,13 @@ def apply_move(word: Word, move: int, position: int) -> Word:
 
 
 def heap_masks(word: Word) -> list[int]:
-    """The heap (dependence poset) of a canonical word, one int mask per
+    """The heap (dependence poset) of a minimal word, one int mask per
     syllable: bit i of ``below[j]`` is set when syllable i precedes
     syllable j in every minimal representative, that is when a chain of
     syllables with equal or non-commuting generators leads from i up to j
-    (Cartier-Foata 1969; Viennot, "Heaps of pieces", 1986).
+    (Cartier-Foata 1969; Viennot, "Heaps of pieces", 1986).  The word need
+    not be canonical: minimal words of one element differ by swaps of
+    adjacent commuting syllables, which keep every such chain.
 
     Such a chain reaches j from a syllable of a generator h in
     ``dependence[g]``, g being j's generator, at or before the last

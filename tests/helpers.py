@@ -12,6 +12,10 @@ run over that closure rather than over ``minimal_representatives``, so
 that nothing compared with the heap is computed from the heap; and the
 trial-conjugation reduction that multiplies out each candidate
 conjugate instead of reading the merge off the heap.
+``reference_power_checks`` keeps the power checks of
+``verify_power_properties`` as they read normal forms of the powers,
+shift maps and pair sets, before they read the heap of each power's
+concatenation.
 """
 
 from __future__ import annotations
@@ -19,15 +23,26 @@ from __future__ import annotations
 from itertools import product
 
 from raagmcg import (
+    DEFAULT_CAP,
     CheckResult,
+    GraphMismatch,
     MappedSubsurface,
+    NotCyclicallyReduced,
+    Realization,
     Syllable,
     SyllableId,
     Word,
+    build_standard_realization,
+    concatenated_power,
     empty_word,
+    fill,
     invert,
+    is_cyclically_reduced,
     multiply,
     normalize,
+    oracle_min_syllables,
+    power,
+    power_shift_map,
     syllable_order,
     syllable_subsurface_map,
     word_from_pairs,
@@ -284,3 +299,104 @@ def enumerated_order_embedding(word: Word) -> CheckResult:
                         f"{sid.label()} is not the shared-prefix translate of its base",
                     )
     return CheckResult(True)
+
+
+# -- power-check reference -------------------------------------------------------
+
+PASS = "pass"
+FAIL = "fail"
+PRECONDITION_UNMET = "precondition_unmet"
+
+
+def reference_power_checks(
+    word: Word,
+    cap: int = DEFAULT_CAP,
+    realization: Realization | None = None,
+    oracle_budget: int = DEFAULT_CAP,
+    max_power: int = 4,
+) -> dict[str, dict]:
+    """The whole ``verify_power_properties`` report, with each power's
+    normal form, ``power_shift_map`` and the ``precedes`` pair sets of the
+    square and the (r+1)-st power."""
+    canonical = normalize(word)
+    if not is_cyclically_reduced(canonical):
+        raise NotCyclicallyReduced("word is not conjugacy-minimal")
+    graph = canonical.graph
+    if realization is None:
+        realization = build_standard_realization(graph)
+    elif realization.graph != graph:
+        raise GraphMismatch("word and realization use different defining graphs")
+    r = len(canonical.support())
+    if r == 0:
+        status = {"status": PASS, "note": "empty word; nothing to check"}
+        return {
+            "image_coverage": dict(status),
+            "power_minimality": dict(status),
+            "square_precedence": dict(status),
+            "power_comparability": dict(status),
+        }
+
+    filled = fill(realization, [s.generator for s in canonical.syllables])
+    report: dict[str, dict] = {}
+    if filled.fills_ambient:
+        report["image_coverage"] = {
+            "status": PASS,
+            "note": "every reference curve meets a syllable image",
+        }
+    else:
+        uncovered = sorted(filled.uncovered_curves, key=realization.reference_curves.index)
+        report["image_coverage"] = {
+            "status": PRECONDITION_UNMET,
+            "note": f"support does not fill; uncovered curves {uncovered}",
+        }
+
+    if r < 2 or len(filled.components) != 1:
+        note = (
+            "support has a single generator"
+            if r < 2
+            else "support is disconnected in the complement graph"
+        )
+        skipped = {"status": PRECONDITION_UNMET, "note": note}
+        report["power_minimality"] = dict(skipped)
+        report["square_precedence"] = dict(skipped)
+        report["power_comparability"] = dict(skipped)
+        return report
+
+    k = len(canonical.syllables)
+    checked = range(2, max_power + 1)
+    powers = {n: power(canonical, n) for n in {*checked, 2, r + 1}}
+    bad_powers = []
+    for n in checked:
+        found = oracle_min_syllables(concatenated_power(canonical, n), oracle_budget)
+        if found != n * k or len(powers[n].syllables) != n * k:
+            bad_powers.append(n)
+    report["power_minimality"] = (
+        {"status": PASS, "note": f"powers 2..{max_power} stay minimal"}
+        if not bad_powers
+        else {"status": FAIL, "note": f"powers {bad_powers} collapse"}
+    )
+
+    square_order = syllable_order(powers[2])
+    shift_one = power_shift_map(canonical, 1, 2)
+    ids = list(shift_one)
+    misses = [s.label() for s in ids if (s, shift_one[s]) not in square_order.precedes]
+    report["square_precedence"] = (
+        {"status": PASS, "note": "every syllable precedes its shifted copy"}
+        if not misses
+        else {"status": FAIL, "note": f"syllables {misses} do not precede their shifts"}
+    )
+
+    high_order = syllable_order(powers[r + 1])
+    shift_r = power_shift_map(canonical, 1, r + 1)
+    miss_pairs = [
+        (s.label(), t.label())
+        for s in ids
+        for t in ids
+        if (s, shift_r[t]) not in high_order.precedes
+    ]
+    report["power_comparability"] = (
+        {"status": PASS, "note": f"all pairs comparable across {r} blocks"}
+        if not miss_pairs
+        else {"status": FAIL, "note": f"incomparable pairs {miss_pairs[:5]}"}
+    )
+    return report

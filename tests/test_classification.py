@@ -3,11 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+import raagmcg.classification as classification
+import raagmcg.words as words
 from raagmcg import (
     NotCyclicallyReduced,
     NotFilling,
+    RaagError,
     build_standard_realization,
     classify,
+    cyclically_reduce,
     equal_elements,
     multiply,
     normalize,
@@ -17,6 +21,7 @@ from raagmcg import (
     verify_power_properties,
 )
 from conftest import random_graph, random_word
+from helpers import reference_power_checks
 
 
 def w(text, graph):
@@ -162,6 +167,83 @@ def test_verify_properties_degenerate_support(pentagon):
 def test_verify_properties_rejects_unreduced(pentagon):
     with pytest.raises(NotCyclicallyReduced):
         verify_power_properties(w("a c a^-1", pentagon))
+
+
+def _verify_outcome(check, word, max_power):
+    try:
+        return check(word, max_power=max_power)
+    except RaagError as err:
+        return type(err).__name__, err.message, err.details
+
+
+def test_verify_matches_power_normal_form_reference():
+    # Reduced words over random graphs, each checked with max_power 2, 3
+    # and 4, against the checks that normalize every power and read its
+    # pair set through the shift maps.
+    rng = random.Random(3)
+    seen = set()
+    for _ in range(150):
+        graph = random_graph(rng, max_vertices=6)
+        for max_power in (2, 3, 4):
+            reduced, _ = cyclically_reduce(random_word(rng, graph, 6))
+            report = _verify_outcome(verify_power_properties, reduced, max_power)
+            assert report == _verify_outcome(reference_power_checks, reduced, max_power), reduced
+            if isinstance(report, dict):
+                seen.add(report["power_comparability"]["status"])
+    assert seen == {"pass", "precondition_unmet"}
+
+
+def _without(lower, upper):
+    # heap_masks with one relation dropped: syllable ``lower`` no longer
+    # lies below the syllable at position ``upper`` of the concatenation.
+    def masks(word):
+        below = words.heap_masks(word)
+        below[upper] &= ~(1 << lower)
+        return below
+
+    return masks
+
+
+MINIMAL = {"status": "pass", "note": "powers 2..4 stay minimal"}
+ALL_LABELS = "['a^1#1', 'c^1#1', 'e^1#1', 'b^1#1', 'd^1#1']"
+FIRST_PAIRS = (
+    "[('a^1#1', 'a^1#1'), ('a^1#1', 'c^1#1'), ('a^1#1', 'e^1#1'), "
+    "('a^1#1', 'b^1#1'), ('a^1#1', 'd^1#1')]"
+)
+
+
+@pytest.mark.parametrize(
+    "name, patch, minimality, misses, miss_pairs",
+    [
+        ("heap_masks", lambda word: [0] * len(word.syllables), MINIMAL, ALL_LABELS, FIRST_PAIRS),
+        ("is_minimal", lambda word: False,
+         {"status": "fail", "note": "powers [2, 3, 4] collapse"}, ALL_LABELS, FIRST_PAIRS),
+        # c of block 1 below c of block 2 (position 6), read by the square
+        ("heap_masks", _without(1, 6), MINIMAL, "['c^1#1']", None),
+        # c of block 1 below d of the last block, read by the sixth power
+        ("heap_masks", _without(1, -1), MINIMAL, None, "[('c^1#1', 'd^1#1')]"),
+    ],
+    ids=["no-order", "collapsed", "square-pair", "last-block-pair"],
+)
+def test_verify_reports_unordered_or_collapsed_powers_as_failures(
+    monkeypatch, pentagon, name, patch, minimality, misses, miss_pairs
+):
+    # None of this can happen to a reduced word with a connected support,
+    # so the library is patched: concatenations that lose order relations,
+    # or that are not minimal, whose heaps are then not the powers'.
+    monkeypatch.setattr(classification, name, patch)
+    report = verify_power_properties(w("a c e b d", pentagon))
+    assert report["power_minimality"] == minimality
+    assert report["square_precedence"] == (
+        {"status": "pass", "note": "every syllable precedes its shifted copy"}
+        if misses is None
+        else {"status": "fail", "note": f"syllables {misses} do not precede their shifts"}
+    )
+    assert report["power_comparability"] == (
+        {"status": "pass", "note": "all pairs comparable across 5 blocks"}
+        if miss_pairs is None
+        else {"status": "fail", "note": f"incomparable pairs {miss_pairs}"}
+    )
 
 
 def test_classify_rejects_foreign_graph(pentagon, pentagon_realization):

@@ -2,7 +2,9 @@
 and the order-embedding check, compared with the exhaustive enumeration
 of minimal representatives it replaced (and, for cyclic reduction on
 longer words, with trial conjugation), and the down-set reading of the
-subsurface values compared with their word arithmetic."""
+subsurface values compared with their word arithmetic.  ``heap_masks``
+is read on minimal words that are not canonical too: every word of the
+swap closure, and the concatenated powers that ``verify`` reads."""
 
 import random
 
@@ -12,22 +14,28 @@ from raagmcg import (
     Word,
     build_standard_realization,
     check_order_embedding,
+    SyllableId,
     classify,
+    concatenated_power,
     cyclically_reduce,
     invert,
     is_cyclically_reduced,
     normalize,
     parse_word,
+    power,
     syllable_order,
     syllable_subsurface_map,
 )
+from raagmcg.words import heap_masks
 from conftest import random_graph, random_word
 from helpers import (
     enumerated_cyclic_reduction,
     enumerated_is_cyclically_reduced,
     enumerated_order,
     enumerated_order_embedding,
+    positional_ids,
     probed_covering_pairs,
+    swap_closure_representatives,
     trial_cyclic_reduction,
     trial_is_cyclically_reduced,
 )
@@ -49,6 +57,47 @@ def test_heap_matches_enumeration_on_random_words():
             assert is_cyclically_reduced(word) == enumerated_is_cyclically_reduced(word), word
             assert check_order_embedding(word) == enumerated_order_embedding(word), word
             compared += 1
+
+
+def _heap_pairs(word):
+    # The heap of a minimal word as (lower, upper) pairs of occurrence ids.
+    ids = [SyllableId(*t) for t in positional_ids(
+        (s.generator, s.exponent) for s in word.syllables
+    )]
+    return frozenset(
+        (ids[i], ids[j]) for j, mask in enumerate(heap_masks(word))
+        for i in range(j) if mask >> i & 1
+    )
+
+
+def test_heap_of_every_minimal_word_is_the_order():
+    rng = random.Random(20261022)
+    compared = 0
+    while compared < 2000:
+        graph = random_graph(rng, max_vertices=7)
+        word = random_word(rng, graph, 9)
+        _, precedes = enumerated_order(word)
+        for rep in swap_closure_representatives(word):
+            assert _heap_pairs(rep) == precedes, rep
+            compared += 1
+
+
+def test_heap_of_a_concatenated_power_is_the_powers_order():
+    # A reduced word whose support is connected in the complement graph
+    # has minimal powers, and its concatenations are minimal words.
+    rng = random.Random(20261023)
+    compared = 0
+    while compared < 300:
+        graph = random_graph(rng, max_vertices=7)
+        reduced, _ = cyclically_reduce(random_word(rng, graph, 8))
+        support = list(reduced.support())
+        if len(support) < 2 or len(graph.complement().components(support)) != 1:
+            continue
+        for n in range(1, 5):
+            assert _heap_pairs(concatenated_power(reduced, n)) == (
+                syllable_order(power(reduced, n)).precedes
+            ), (reduced, n)
+        compared += 1
 
 
 def test_heap_reduction_matches_trial_conjugation_on_long_words():

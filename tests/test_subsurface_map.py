@@ -170,6 +170,24 @@ def test_hand_built_constants_out_of_float_range_are_typed(pentagon):
     assert err.value.details == {"field": "K"}
 
 
+@pytest.mark.parametrize(
+    "overrides, field, message",
+    [
+        ({"k": -10**5000}, "K", "K >= 20 violated"),
+        ({"k0": -10**5000}, "K", "K >= 20 violated"),
+        ({"c": 10**5000}, "C", "C must equal 2*K"),
+        ({"tau": {"a": -10**5000, "b": 84, "c": 84, "d": 84, "e": 84}}, "tau",
+         "tau(a) is below C"),
+    ],
+    ids=["K", "K0", "C", "tau"],
+)
+def test_constants_past_the_int_digit_limit_are_typed(pentagon, overrides, field, message):
+    # Values too long for int-to-str are left out of the message.
+    with pytest.raises(InvalidConstants) as err:
+        Constants.create(pentagon, **overrides)
+    assert (err.value.message, err.value.details) == (message, {"field": field})
+
+
 def test_certificate_arithmetic(pentagon):
     constants = default_constants(pentagon)
     certificate = make_certificate(w("a^2 c^-1", pentagon), constants)
