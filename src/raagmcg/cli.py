@@ -4,8 +4,8 @@ Exit codes: 0 on success, 1 on domain errors (with a machine-readable
 error JSON on stdout), 2 on usage errors.
 
 A one-shot call pays only for its own command: each command imports the
-modules it calls, and the parser gives arguments only to the subcommand
-that ``argv[0]`` names (to all of them when it names none).
+modules it calls, and the parser builds only the subcommand parser that
+``argv[0]`` names (all of them when it names none).
 """
 
 from __future__ import annotations
@@ -107,8 +107,9 @@ def _emit_json(obj) -> None:
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand; only ``command``'s gets its
-    arguments, unless ``command`` names none, when all of them do."""
+    """The parser of ``command``'s subcommand alone, or of all of them when
+    ``command`` names none: the help listing and the "invalid choice" error
+    need every subcommand, a named one needs only its own."""
     parser = argparse.ArgumentParser(
         prog="raagmcg",
         description=(
@@ -117,11 +118,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         ),
     )
     cap = _default_cap(parser)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, formats, default_format) in COMMANDS.items():
+    one = command in COMMANDS
+    # Naming all nine keeps the usage line of a one-subcommand parser; the
+    # full parser keeps argparse's own metavar, which its errors print.
+    metavar = "{" + ",".join(COMMANDS) + "}" if one else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in [command] if one else COMMANDS:
+        help_text, formats, default_format = COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        if command in COMMANDS and command != name:
-            continue
         if name == "realize":
             p.add_argument("--graph", required=True)
             p.add_argument(

@@ -279,11 +279,17 @@ class Constants:
         for v in graph.vertices:
             if v not in self.tau:
                 raise InvalidConstants(f"tau undefined for vertex {v!r}", field="tau")
-            if self.tau[v] < self.c:
+            tau = self.tau[v]
+            if not isinstance(tau, Real):
+                raise InvalidConstants(f"tau({v}) must be a real number", field="tau")
+            if tau < self.c:
                 raise _invalid(
                     "tau", f"tau({v}) is below C", "tau({}) = {} is below C = {}",
-                    v, self.tau[v], self.c,
+                    v, tau, self.c,
                 )
+            # tau is now at least C, or NaN; an infinite C is named by the C check.
+            if not tau < math.inf and self.c < math.inf:
+                raise InvalidConstants(f"tau({v}) must be finite (got {tau})", field="tau")
         _check_number("C", self.c)  # last, so the checks above keep their order
 
     def to_json_dict(self) -> dict:

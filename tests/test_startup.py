@@ -1,7 +1,8 @@
 """What a one-shot call loads: the package binds its public names on first
 use, each CLI command imports only the modules it calls, and the parser
-gives arguments only to the subcommand it runs."""
+builds only the subcommand parser it runs."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -143,3 +144,66 @@ def test_main_reads_sys_argv(capsys, monkeypatch, tmp_path, pentagon):
     )
     assert cli.main() == 0
     assert capsys.readouterr().out == "b\n"
+
+
+def _count_parsers(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+@pytest.mark.parametrize("command", list(MODULES_BY_COMMAND))
+def test_one_shot_call_builds_two_parsers(monkeypatch, tmp_path, pentagon, command):
+    path = tmp_path / "pentagon.json"
+    path.write_text(pentagon.to_json())
+    argv = [command, "--graph", str(path)]
+    if command != "realize":
+        argv += ["--word", "a c e b d"]
+    built = _count_parsers(monkeypatch)
+    assert cli.main(argv) == 0
+    assert len(built) == 2
+
+
+@pytest.mark.parametrize("command", [None, "bogus"])
+def test_full_parser_builds_every_subcommand(monkeypatch, command):
+    built = _count_parsers(monkeypatch)
+    cli.build_parser(command)
+    assert len(built) == 1 + len(cli.COMMANDS)
+
+
+def _outcome(parser, argv, capsys):
+    code = namespace = None
+    try:
+        namespace = vars(parser.parse_args(argv))
+    except SystemExit as err:
+        code = err.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, namespace
+
+
+def test_usage_matrix_matches_the_full_parser(capsys):
+    # The top-level cases; then each command bare, with -h and without
+    # --word, and its valid arguments followed by an extra positional, an
+    # unknown flag, a bad --format, --min-cap 0, --k0 x and a trailing
+    # --realization (for most commands the last two are unknown flags).
+    cases = [[], ["-h"], ["--help"], ["bogus"], ["--graph", "g.json"]]
+    for command in cli.COMMANDS:
+        base = [command, "--graph", "g.json"]
+        if command != "realize":
+            base += ["--word", "a"]
+        cases += [
+            [command], [command, "-h"], [command, "--graph", "g.json"], base + ["extra"],
+            base + ["--bogus"], base + ["--format", "xml"], base + ["--min-cap", "0"],
+            base + ["--k0", "x"], base + ["--realization"],
+        ]
+    assert len(cases) == 86
+    for argv in cases:
+        full = _outcome(cli.build_parser(), argv, capsys)
+        one = _outcome(cli.build_parser(argv[0] if argv else None), argv, capsys)
+        assert one == full, argv

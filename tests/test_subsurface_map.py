@@ -188,6 +188,23 @@ def test_constants_past_the_int_digit_limit_are_typed(pentagon, overrides, field
     assert (err.value.message, err.value.details) == (message, {"field": field})
 
 
+@pytest.mark.parametrize(
+    "tau_a, message",
+    [
+        ("x", "tau(a) must be a real number"),
+        (float("nan"), "tau(a) must be finite (got nan)"),
+        (float("inf"), "tau(a) must be finite (got inf)"),
+    ],
+    ids=["str", "nan", "inf"],
+)
+def test_constants_reject_tau_that_is_not_a_finite_number(pentagon, tau_a, message):
+    tau = {v: 84 for v in pentagon.vertices}
+    tau["a"] = tau_a
+    with pytest.raises(InvalidConstants) as err:
+        Constants.create(pentagon, tau=tau)
+    assert (err.value.message, err.value.details) == (message, {"field": "tau"})
+
+
 def test_certificate_arithmetic(pentagon):
     constants = default_constants(pentagon)
     certificate = make_certificate(w("a^2 c^-1", pentagon), constants)
