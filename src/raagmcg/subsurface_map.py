@@ -258,6 +258,10 @@ class Constants:
         return constants
 
     def validate(self, graph: DefiningGraph) -> None:
+        # A pack built by create has passed these already; a hand-built one
+        # has not, and _k_sum and the comparisons below need numbers.
+        for name, value in (("K0", self.k0), ("D", self.d), ("A", self.a), ("B", self.b)):
+            _check_number(name, value)
         if self.k < 20:
             raise _invalid("K", "K >= 20 violated", "K >= 20 violated (K = {})", self.k)
         k_sum = _k_sum(self.k0, self.d)

@@ -26,7 +26,9 @@ Each public function normalizes its input, and ``normalize`` returns a
 canonical word as it is: a caller passes on the word it has normalized,
 and no normal form is computed twice.  ``heap_masks`` takes a minimal
 word, canonical or not, and ``_find_reduction`` the heap of a canonical
-one, which cyclic reduction keeps and edits across its rounds.
+one, which cyclic reduction builds once and edits across its rounds: a
+round that changes the canonical order reads the new one off the masks,
+so a reduction normalizes only the word and the conjugator.
 """
 
 from __future__ import annotations
@@ -191,6 +193,24 @@ class _LiveHeap:
         self.order.remove(position)
         self.live &= ~(1 << position)
 
+    def reorder(self) -> None:
+        # Kahn's algorithm on the live masks, keyed by vertex index; see
+        # cyclically_reduce.
+        unplaced = [[] for _ in self.graph.vertices]  # each generator's live syllables, last first
+        for p in reversed(self.order):
+            unplaced[self.graph.index[self.syllables[p].generator]].append(p)
+        left, ready, touched, self.order = self.live, 0, range(len(unplaced)), []
+        while True:
+            for h in touched:  # emitting g can make ready only a generator in dependence[g]
+                if unplaced[h] and not self.below[unplaced[h][-1]] & left:
+                    ready |= 1 << h
+            if not ready:
+                return
+            g = (ready & -ready).bit_length() - 1  # the ready generator of least index
+            p = unplaced[g].pop()
+            self.order.append(p)
+            ready, left, touched = ready ^ 1 << g, left ^ 1 << p, self.graph.dependence[g]
+
     def remaining(self) -> tuple[Syllable, ...]:
         return tuple([self.syllables[p] for p in self.order])
 
@@ -262,9 +282,20 @@ def cyclically_reduce(word: Word) -> tuple[Word, Word]:
     may now come earlier, even first.  On the path graph a - b - c, the
     canonical word b c a c^-1 moves c^-1 to the front, which cancels c
     and leaves b a, whose normal form a b changes position 0 (the
-    conjugator is c).  Only that round normalizes the word left and
-    builds its heap again.  The conjugator, the product of the rounds'
-    factors, is normalized once at the end.
+    conjugator is c).  Only that round puts ``order`` back in canonical
+    order, and it reads that order off the live masks, the heap of the
+    word left, which is minimal.  On a minimal word ``normalize`` merges
+    nothing, and its greedy pass emits, among the syllables with nothing
+    pending below them, the one with the smallest vertex index.  That is
+    Kahn's algorithm keyed by vertex index (``_LiveHeap.reorder``): the
+    ready syllables are the live ones whose mask meets no unplaced live
+    position; they carry distinct generators, as two syllables of one
+    generator are ordered, so the index breaks every tie; and emitting a
+    syllable of generator g can only make ready the first unplaced
+    syllable of a generator in ``dependence[g]``, as a cover of a heap
+    joins two dependent syllables.  So a reduction builds one heap, and
+    normalizes at most the word and, once at the end, the conjugator,
+    the product of the rounds' factors.
 
     The fixed point is conjugacy-minimal: no generator labels a minimal
     and a different maximal syllable, so it is cyclically reduced, and
@@ -288,7 +319,7 @@ def cyclically_reduce(word: Word) -> tuple[Word, Word]:
         else:
             current.remove(target)
             if not moved_first:
-                current = _LiveHeap(normalize(Word(current.remaining(), current.graph)))
+                current.reorder()
     reduced = Word(current.remaining(), current.graph)
     object.__setattr__(reduced, "_canonical", True)  # the edits keep it canonical
     return reduced, normalize(Word(tuple(factors), current.graph))

@@ -1,0 +1,211 @@
+"""Mutation checks: each entry breaks one line of the library in a copy of
+``src/`` and names the tests that must then fail.
+
+Run from anywhere, with pytest installed:
+
+    python tests/mutations.py              # every entry
+    python tests/mutations.py reorder-key  # entries named on the command line
+
+For each entry the script copies ``src/`` to a temporary directory,
+replaces the entry's old text (which must occur exactly once in its file)
+with the new text, and runs pytest on the entry's test ids with
+``PYTHONPATH`` on the copy.  A nonzero pytest exit kills the mutation; a
+zero exit lets it survive.  An old text that is missing or occurs twice
+is an error, so a refactor of the code an entry names must update the
+entry instead of dropping it silently.  Before any mutation, every named
+test must pass on the unedited copy, or a kill would prove nothing.
+
+The file name has no ``test_`` prefix, so tier-1 does not collect it.
+Exits 0 when every entry is killed and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutation:
+    name: str
+    file: str  # relative to src/raagmcg
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repository root
+
+
+MUTATIONS = [
+    # Cyclic reduction: the round that reads the canonical order off the masks.
+    Mutation(
+        "reorder-ready-test",
+        "syllables.py",
+        "if unplaced[h] and not self.below[unplaced[h][-1]] & left:",
+        "if unplaced[h] and not self.below[unplaced[h][-1]] & self.live:",
+        ("tests/test_cyclic_reduction.py::test_reordered_rounds_match_normalize",),
+    ),
+    Mutation(
+        "reorder-key",
+        "syllables.py",
+        "g = (ready & -ready).bit_length() - 1",
+        "g = ready.bit_length() - 1",
+        ("tests/test_cyclic_reduction.py::test_reordered_rounds_match_normalize",),
+    ),
+    Mutation(
+        "reorder-trigger",
+        "syllables.py",
+        "            if not moved_first:\n                current.reorder()",
+        "            if moved_first:\n                current.reorder()",
+        (
+            "tests/test_cyclic_reduction.py::test_cancelled_minimal_partner_changes_the_normal_form",
+            "tests/test_cyclic_reduction.py::test_renormalizing_family_builds_one_heap",
+        ),
+    ),
+    Mutation(
+        "reduction-first-syllable-priority",
+        "syllables.py",
+        "moves = [(first, p) for p, i in partners if i == first] + [(p, i) for p, i in partners if i != p]",
+        "moves = [(p, i) for p, i in partners if i != p] + [(first, p) for p, i in partners if i == first]",
+        ("tests/test_cyclic_reduction.py::test_live_heap_matches_trial_conjugation_on_long_conjugates",),
+    ),
+    Mutation(
+        "reduction-live-minimal",
+        "syllables.py",
+        "minimal = {syllables[i].generator: i for i in order if not below[i] & live}",
+        "minimal = {syllables[i].generator: i for i in order if not below[i]}",
+        ("tests/test_cyclic_reduction.py::test_live_heap_matches_trial_conjugation_on_long_conjugates",),
+    ),
+    # The syllable order.
+    Mutation(
+        "hasse-covers",
+        "syllables.py",
+        "covers.append(mask & ~through)",
+        "covers.append(mask)",
+        ("tests/test_syllables.py::test_order_hasse_covers",),
+    ),
+    Mutation(
+        "syllable-occurrence",
+        "syllables.py",
+        "counts[key] = counts.get(key, 0) + 1",
+        "counts[key] = 1",
+        ("tests/test_syllables.py::test_syllable_ids_positions",),
+    ),
+    # Constants: a hand-built pack is checked as numbers.
+    Mutation(
+        "constants-number-check",
+        "subsurface_map.py",
+        "            _check_number(name, value)\n        if self.k < 20:",
+        "            pass\n        if self.k < 20:",
+        ("tests/test_subsurface_map.py::test_hand_built_constants_that_are_not_finite_numbers_are_typed",),
+    ),
+    # The heap and the dependence relation behind it.
+    Mutation(
+        "heap-own-bit",
+        "words.py",
+        "closed[g] = mask | 1 << j",
+        "closed[g] = mask",
+        (
+            "tests/test_heap.py::test_heap_matches_enumeration_on_random_words",
+            "tests/test_representatives.py::test_heap_walk_matches_swap_closure_on_random_words",
+        ),
+    ),
+    Mutation(
+        "dependence-first-member",
+        "defining_graph.py",
+        "tuple([j for j, commutes in enumerate(row) if i == j or not commutes])",
+        "tuple([j for j, commutes in enumerate(row) if i == j or not commutes][1:])",
+        (
+            "tests/test_left_greedy.py::test_greedy_pass_matches_reference_on_small_graphs",
+            "tests/test_left_greedy.py::test_greedy_pass_matches_reference_on_long_words",
+        ),
+    ),
+    Mutation(
+        "push-cancel",
+        "words.py",
+        "            if s == 0:\n                del out[j]",
+        "            if False:\n                del out[j]",
+        ("tests/test_words.py::test_multiply_cancels",),
+    ),
+    Mutation(
+        "greedy-tie-break",
+        "words.py",
+        "if g not in blocked and (best is None or g < pending[best][0]):",
+        "if g not in blocked and (best is None or g > pending[best][0]):",
+        ("tests/test_left_greedy.py::test_greedy_pass_matches_reference_on_small_graphs",),
+    ),
+    Mutation(
+        "representatives-ready-test",
+        "words.py",
+        "if q >= 0 and not below[q] & unplaced:",
+        "if q >= 0:",
+        ("tests/test_representatives.py::test_heap_walk_matches_swap_closure_on_random_words",),
+    ),
+    # verify: a power that is not minimal is reported, not ordered.
+    Mutation(
+        "verify-power-minimality",
+        "classification.py",
+        "minimal = {n: is_minimal(power) for n, power in concatenations.items()}",
+        "minimal = {n: True for n in concatenations}",
+        ("tests/test_classification.py::test_verify_reports_unordered_or_collapsed_powers_as_failures",),
+    ),
+    # The CLI: a one-shot parser prints the full parser's usage line.
+    Mutation(
+        "parser-metavar",
+        "cli.py",
+        'metavar = "{" + ",".join(COMMANDS) + "}" if one else None',
+        "metavar = None",
+        ("tests/test_startup.py::test_usage_matrix_matches_the_full_parser",),
+    ),
+]
+
+
+def pytest_exit(src: Path, tests) -> int:
+    # -o pythonpath= drops the pyproject setting that puts the repository's
+    # own src/ ahead of PYTHONPATH.
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+               "-o", "pythonpath=", *tests]
+    return subprocess.run(command, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTATIONS}
+    if unknown:
+        print(f"unknown mutations: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTATIONS if not names or m.name in names]
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = Path(tmp, "clean")
+        shutil.copytree(ROOT / "src", clean, ignore=shutil.ignore_patterns("__pycache__"))
+        tests = sorted({t for m in chosen for t in m.tests})
+        if pytest_exit(clean, tests):
+            print("the named tests fail on the unedited source", file=sys.stderr)
+            return 1
+        survived = 0
+        for m in chosen:
+            copy = Path(tmp, m.name)
+            shutil.copytree(clean, copy, ignore=shutil.ignore_patterns("__pycache__"))
+            path = copy / "raagmcg" / m.file
+            text = path.read_text()
+            if text.count(m.old) != 1:
+                print(f"{m.name}: old text occurs {text.count(m.old)} times in {m.file}",
+                      file=sys.stderr)
+                return 1
+            path.write_text(text.replace(m.old, m.new))
+            killed = pytest_exit(copy, m.tests) != 0
+            survived += not killed
+            print(f"{'killed' if killed else 'SURVIVED'}  {m.name}")
+            shutil.rmtree(copy)
+    print(f"{len(chosen) - survived} of {len(chosen)} mutations killed")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

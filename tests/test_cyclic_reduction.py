@@ -1,9 +1,10 @@
-"""Cyclic reduction edits one heap across its rounds, and normalizes the
-word again only in a round where a moved maximal syllable cancels a
-minimal partner that is not the first syllable.  Checked against
-multiplying out every candidate conjugate, on long conjugates made to
-have many such rounds, and by counting the normal forms and heap builds
-of a long pentagon conjugate."""
+"""Cyclic reduction edits one heap across its rounds.  In a round where a
+moved maximal syllable cancels a minimal partner that is not the first
+syllable, it reads the new canonical order off the heap's masks instead
+of normalizing the word again.  Checked against multiplying out every
+candidate conjugate, on long conjugates made to have many such rounds,
+round by round against ``normalize``, and by counting the normal forms
+and heap builds of long conjugates."""
 
 import random
 
@@ -147,3 +148,65 @@ def test_long_conjugate_costs_normal_forms_only_for_cancelled_minimal_partners(
     assert len(reduced) == 5 and rounds["rounds"] >= 290
     assert rounds["normal forms"] <= 2 + rounds["renormalizing"]
     assert rounds["heaps"] <= 1 + rounds["renormalizing"]
+
+
+@pytest.fixture()
+def reorders(monkeypatch):
+    """Check every reordering round against ``normalize``: the live
+    syllables, put back in order off the masks, must be the normal form
+    of the word they spelled before.  Returns the count of rounds."""
+    reorder, checked = syllables._LiveHeap.reorder, []
+
+    def checked_reorder(live):
+        before = Word(live.remaining(), live.graph)
+        reorder(live)
+        assert live.remaining() == normalize(before).syllables, before
+        checked.append(before)
+
+    monkeypatch.setattr(syllables._LiveHeap, "reorder", checked_reorder)
+    return checked
+
+
+def renormalizing_family(rng, graph, length):
+    """u w u^-1 on the pentagon with u alternating b and e, which commute
+    with a but not with each other, and w a 100-syllable complement walk
+    from a: nearly every round cancels a minimal partner behind a."""
+    u = [Syllable("be"[i % 2], rng.choice((-2, -1, 1, 2))) for i in range(length)]
+    walk = complement_walk(rng, graph, "a", 100)
+    u_inverse = [Syllable(s.generator, -s.exponent) for s in reversed(u)]
+    return Word(tuple(u + walk + u_inverse), graph)
+
+
+def test_reordered_rounds_match_normalize(reorders, pentagon):
+    # The corpora of the tests above, rebuilt from their seeds, and 2,000
+    # more conjugates on graphs of up to 9 vertices.
+    corpus = [parse_word("b c a c^-1", DefiningGraph.from_data("abc", ["ab", "bc"]))]
+    graph = DefiningGraph.from_data("abcd", "ab ac bc ad cd".split())
+    corpus.append(parse_word("a c d b d^-1", graph))
+    rng = random.Random(20261022)
+    corpus += random_conjugates(rng, 40) + conjugates(rng, 30, 40, max_vertices=6)
+    u = Word(tuple(Syllable("be"[i % 2], rng.choice((-2, -1, 1, 2))) for i in range(6)), pentagon)
+    walk = complement_walk(rng, pentagon, "a", 300)
+    corpus.append(Word(u.syllables + tuple(walk) + invert(u).syllables, pentagon))
+    rng = random.Random(20261023)
+    u = complement_walk(rng, pentagon, "a", 300)
+    u_inverse = [Syllable(s.generator, -s.exponent) for s in reversed(u)]
+    corpus.append(Word(tuple(u + [Syllable(v, 1) for v in "acebd"] + u_inverse), pentagon))
+    corpus += conjugates(random.Random(20261117), 2000, 40, max_vertices=9)
+    for word in corpus:
+        cyclically_reduce(word)
+    assert len(reorders) >= 1000
+
+
+def test_renormalizing_family_builds_one_heap(rounds, pentagon):
+    word = renormalizing_family(random.Random(7), pentagon, 50)
+    result = cyclically_reduce(word)
+    counts = dict(rounds)
+    assert result == trial_cyclic_reduction(word)
+    assert counts["renormalizing"] >= 50
+    assert (counts["normal forms"], counts["heaps"]) == (2, 1)
+
+
+def test_long_renormalizing_family_normalizes_twice(rounds, pentagon):
+    cyclically_reduce(renormalizing_family(random.Random(7), pentagon, 200))
+    assert rounds["renormalizing"] >= 200 and rounds["normal forms"] == 2

@@ -4,6 +4,7 @@ import pytest
 
 from raagmcg import (
     Constants,
+    DefiningGraph,
     InvalidConstants,
     MappedSubsurface,
     SyllableId,
@@ -203,6 +204,28 @@ def test_constants_reject_tau_that_is_not_a_finite_number(pentagon, tau_a, messa
     with pytest.raises(InvalidConstants) as err:
         Constants.create(pentagon, tau=tau)
     assert (err.value.message, err.value.details) == (message, {"field": "tau"})
+
+
+@pytest.mark.parametrize(
+    "overrides, field, message",
+    [
+        ({"a": float("nan")}, "A", "A must be finite (got nan)"),
+        ({"b": float("inf")}, "B", "B must be finite (got inf)"),
+        ({"a": "x"}, "A", "A must be a real number"),
+        ({"k0": "x"}, "K0", "K0 must be a real number"),
+        ({"k0": float("nan")}, "K0", "K0 must be finite (got nan)"),
+    ],
+    ids=["A-nan", "B-inf", "A-str", "K0-str", "K0-nan"],
+)
+def test_hand_built_constants_that_are_not_finite_numbers_are_typed(overrides, field, message):
+    # Only validate sees a pack that never went through Constants.create,
+    # and make_certificate validates the pack it is given.
+    graph = DefiningGraph.from_data("ab", [])
+    fields = {"k0": 10, "d": 6, "k": 42, "c": 84, "a": 2, "b": 10, "tau": {"a": 84, "b": 84}}
+    constants = Constants(**{**fields, **overrides})
+    with pytest.raises(InvalidConstants) as err:
+        make_certificate(w("a b", graph), constants)
+    assert (err.value.message, err.value.details) == (message, {"field": field})
 
 
 def test_certificate_arithmetic(pentagon):
