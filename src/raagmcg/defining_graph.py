@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -91,10 +91,14 @@ class DefiningGraph:
             if '"' in v or "\\" in v:
                 raise _unquotable(v)
             seen.add(v)
-        for e in self.edges:
-            if len(e) != 2:
-                raise SelfLoop(f"self-loop at {min(e)!r}", label=min(e))
-            for v in e:
+        # Edges and endpoints in sorted order, so the one reported does not
+        # hang on the hash seed.  They compare as text, so an endpoint that
+        # is not a string is reported, not compared.  A self-loop is a
+        # one-element edge.
+        for edge in sorted(map(partial(sorted, key=str), self.edges), key=str):
+            if edge[0] == edge[-1]:
+                raise SelfLoop(f"self-loop at {edge[0]!r}", label=edge[0])
+            for v in edge:
                 if v not in seen:
                     raise DanglingEdge(f"edge endpoint {v!r} is not a vertex", label=v)
 

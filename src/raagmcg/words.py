@@ -407,52 +407,59 @@ def minimal_representatives(word: Word, cap: int = DEFAULT_CAP) -> list[Word]:
     lower syllables are all placed.  The ready set holds at most one
     syllable per generator, the first unplaced one, and two ready
     syllables have distinct commuting generators, as dependent ones are
-    ordered.  Placing a syllable of generator g can only make ready the
-    next syllable of a generator in ``dependence[g]``.  The choices are
-    taken in increasing generator index, and two words first differ at
-    two ready syllables, so at two generators: the list comes out
-    sorted, each word once.  Each word is built from the normal form's
-    own syllables.
+    ordered.  So each depth keeps it as an int mask of generators, next
+    to the mask of those not yet tried there.  Placing a syllable of
+    generator g can only make ready the next syllable of a generator in
+    ``dependence[g]``.  The choices are taken lowest bit first, that is
+    in increasing generator index, and two words first differ at two
+    ready syllables, so at two generators: the list comes out sorted,
+    each word once.  Each word is built from the normal form's own
+    syllables.
 
     Raises CapExceeded once more than ``cap`` words are found; a word
     with one representative returns it for any ``cap``.
     """
     canonical = normalize(word)
     graph, syllables = canonical.graph, canonical.syllables
-    k = len(syllables)
+    k, n = len(syllables), len(graph.vertices)
     below, dependence, index = heap_masks(canonical), graph.dependence, graph.index
     gens = [index[s.generator] for s in syllables]
-    first = [-1] * len(graph.vertices)  # the first unplaced syllable of each generator
+    first = [-1] * n  # the first unplaced syllable of each generator
     after = [-1] * k  # the next syllable of the same generator
     for p in range(k - 1, -1, -1):
         after[p], first[gens[p]] = first[gens[p]], p
+    generator_of = {1 << g: g for g in range(n)}  # a lowest bit's generator
     unplaced = (1 << k) - 1
     path = [0] * k  # the syllables placed, by depth
-    ready = [[g for g, p in enumerate(first) if p >= 0 and not below[p]]] + [None] * k
-    cursor = [0] * (k + 1)  # the next choice in ready[depth]
+    ready = [0] * (k + 1)  # the generators of the ready syllables, by depth
+    for g, p in enumerate(first):
+        if p >= 0 and not below[p]:
+            ready[0] |= 1 << g
+    untried = ready[:]  # the generators of ready[depth] not chosen there yet
     reps: list[Word] = []
-    depth = 0
+    count = depth = 0
     while depth >= 0:
         if depth == k:
-            if reps and len(reps) >= cap:
+            if count and count >= cap:
                 raise CapExceeded(f"more than {cap} minimal representatives", cap=cap)
+            count += 1
             reps.append(Word(tuple(map(syllables.__getitem__, path)), graph))
         else:
-            choices, c = ready[depth], cursor[depth]
-            if c < len(choices):
-                cursor[depth] = c + 1
-                g = choices[c]
+            m = untried[depth]
+            if m:
+                low = m & -m
+                untried[depth] = m ^ low
+                g = generator_of[low]
                 p = path[depth] = first[g]
                 first[g] = after[p]
                 unplaced ^= 1 << p
-                child = choices[:c] + choices[c + 1:]
+                child = ready[depth] ^ low
                 for h in dependence[g]:
                     q = first[h]
                     if q >= 0 and not below[q] & unplaced:
-                        child.append(h)
-                child.sort()
+                        child |= 1 << h
                 depth += 1
-                ready[depth], cursor[depth] = child, 0
+                ready[depth] = untried[depth] = child
                 continue
         depth -= 1  # backtrack: unplace the syllable placed at this depth
         if depth >= 0:

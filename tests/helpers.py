@@ -15,7 +15,11 @@ conjugate instead of reading the merge off the heap.
 ``reference_power_checks`` keeps the power checks of
 ``verify_power_properties`` as they read normal forms of the powers,
 shift maps and pair sets, before they read the heap of each power's
-concatenation.
+concatenation.  ``reference_covering_pairs`` keeps the Hasse edges as
+they were read off every pair of masks, before they came from the last
+syllable of each generator; ``reference_order_embedding`` keeps the pair
+loops of ``check_order_embedding``, to be fed the same heap, corrupted
+or not.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from raagmcg import (
     Realization,
     Syllable,
     SyllableId,
+    SyllableOrder,
     Word,
     build_standard_realization,
     concatenated_power,
@@ -400,3 +405,48 @@ def reference_power_checks(
         else {"status": FAIL, "note": f"incomparable pairs {miss_pairs[:5]}"}
     )
     return report
+
+
+# -- heap-consumer references ------------------------------------------------------
+
+
+def reference_covering_pairs(order: SyllableOrder) -> list[tuple[SyllableId, SyllableId]]:
+    """The Hasse edges of the heap: each element's mask minus the masks of
+    the elements in it, read for every pair of positions."""
+    below = order.below
+    covers = []
+    for mask in below:
+        through = 0  # everything below something below this element
+        for i, lower in enumerate(below):
+            if mask >> i & 1:
+                through |= lower
+        covers.append(mask & ~through)
+    ids = order.elements
+    return [(s, t) for i, s in enumerate(ids) for t, c in zip(ids, covers) if c >> i & 1]
+
+
+def reference_order_embedding(order: SyllableOrder, graph) -> tuple[bool, str]:
+    """(ok, detail) of the three pair tests of ``check_order_embedding``
+    on the given heap of a word over ``graph``."""
+    ids, below = order.elements, order.below
+    outside = {}
+    for v in {s.generator for s in ids}:
+        star = graph.star(v)
+        outside[v] = sum(1 << p for p, s in enumerate(ids) if s.generator not in star)
+    for i, s in enumerate(ids):
+        for j, t in enumerate(ids[i + 1:], i + 1):
+            v = s.generator
+            if v == t.generator and not outside[v] & (((1 << i) - 1) ^ ((1 << j) - 1)):
+                return False, f"{s.label()} and {t.label()} map to the same subsurface"
+    for i, s in enumerate(ids):
+        for j, t in enumerate(ids[i + 1:], i + 1):
+            if below[j] >> i & 1:
+                continue
+            if outside[s.generator] >> j & 1:
+                return (False,
+                        f"unordered pair {s.label()}, {t.label()} with non-commuting generators")
+            down = below[i] | below[j]
+            for p, sid in ((i, s), (j, t)):
+                if outside[sid.generator] & (down ^ ((1 << p) - 1)):
+                    return False, f"{sid.label()} is not the shared-prefix translate of its base"
+    return True, ""

@@ -41,6 +41,10 @@ class Mutation:
     tests: tuple[str, ...]  # pytest node ids, relative to the repository root
 
 
+EMBEDDING_TEST = (
+    "tests/test_subsurface_map.py::test_order_embedding_matches_the_pair_loops_on_corrupted_heaps"
+)
+
 MUTATIONS = [
     # Cyclic reduction: the round that reads the canonical order off the masks.
     Mutation(
@@ -85,9 +89,26 @@ MUTATIONS = [
     Mutation(
         "hasse-covers",
         "syllables.py",
-        "covers.append(mask & ~through)",
-        "covers.append(mask)",
+        "if mask >> p & 1 and not through >> p & 1:",
+        "if mask >> p & 1:",
         ("tests/test_syllables.py::test_order_hasse_covers",),
+    ),
+    Mutation(
+        "hasse-through",
+        "syllables.py",
+        "through |= below[p]",
+        "through = below[p]",
+        ("tests/test_syllables.py::test_covering_pairs_match_the_mask_reference_on_long_words",),
+    ),
+    Mutation(
+        "hasse-last-position",
+        "syllables.py",
+        "last[s.generator] = j",
+        "last.setdefault(s.generator, j)",
+        (
+            "tests/test_syllables.py::test_covering_pairs_match_the_mask_reference_on_long_words",
+            "tests/test_syllables.py::test_covering_pairs_match_the_mask_reference_on_interleavings",
+        ),
     ),
     Mutation(
         "syllable-occurrence",
@@ -103,6 +124,28 @@ MUTATIONS = [
         "            _check_number(name, value)\n        if self.k < 20:",
         "            pass\n        if self.k < 20:",
         ("tests/test_subsurface_map.py::test_hand_built_constants_that_are_not_finite_numbers_are_typed",),
+    ),
+    # The order-embedding check, fed corrupted heaps: each of its three tests.
+    Mutation(
+        "embedding-same-subsurface",
+        "subsurface_map.py",
+        "if v == t.generator and not outside[v] & (((1 << i) - 1) ^ ((1 << j) - 1)):",
+        "if False:",
+        (EMBEDDING_TEST,),
+    ),
+    Mutation(
+        "embedding-non-commuting",
+        "subsurface_map.py",
+        "if outside[s.generator] >> j & 1:",
+        "if False:",
+        (EMBEDDING_TEST,),
+    ),
+    Mutation(
+        "embedding-shared-prefix",
+        "subsurface_map.py",
+        "if outside[sid.generator] & (down ^ ((1 << p) - 1)):",
+        "if False:",
+        (EMBEDDING_TEST,),
     ),
     # The heap and the dependence relation behind it.
     Mutation(
@@ -138,6 +181,16 @@ MUTATIONS = [
         "if g not in blocked and (best is None or g < pending[best][0]):",
         "if g not in blocked and (best is None or g > pending[best][0]):",
         ("tests/test_left_greedy.py::test_greedy_pass_matches_reference_on_small_graphs",),
+    ),
+    Mutation(
+        "representatives-lowest-bit",
+        "words.py",
+        "low = m & -m",
+        "low = 1 << m.bit_length() - 1",
+        (
+            "tests/test_representatives.py::test_heap_walk_matches_swap_closure_on_random_words",
+            "tests/test_representatives.py::test_interleaving_walk_matches_swap_closure[3-924]",
+        ),
     ),
     Mutation(
         "representatives-ready-test",

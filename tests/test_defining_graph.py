@@ -1,6 +1,12 @@
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+
+import raagmcg
 
 from raagmcg import (
     DanglingEdge,
@@ -27,6 +33,34 @@ def test_dangling_edge_rejected():
     with pytest.raises(DanglingEdge) as err:
         DefiningGraph.from_data(["a", "b"], [("a", "c")])
     assert err.value.details["label"] == "c"
+
+
+# Prints the message of each bad graph, built in a fresh interpreter.
+BAD_GRAPHS_CHILD = """
+import json
+from raagmcg import DefiningGraph, RaagError
+messages = []
+for vertices, edges in (["c"], [("a", "b")]), (["a", "b"], [("b", "z"), ("a", "y")]):
+    try:
+        DefiningGraph.from_data(vertices, edges)
+    except RaagError as err:
+        messages.append(err.message)
+print(json.dumps(messages))
+"""
+
+
+def test_reported_bad_edge_does_not_depend_on_the_hash_seed():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(raagmcg.__file__)))
+    seen = set()
+    for seed in range(1, 7):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))
+        out = subprocess.run([sys.executable, "-c", BAD_GRAPHS_CHILD], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        seen.add(tuple(json.loads(out)))
+    assert seen == {(
+        "edge endpoint 'a' is not a vertex",
+        "edge endpoint 'y' is not a vertex",
+    )}
 
 
 def test_duplicate_vertex_rejected():

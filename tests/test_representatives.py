@@ -6,7 +6,10 @@ import random
 
 import pytest
 
-from raagmcg import CapExceeded, Word, empty_word, minimal_representatives, normalize, parse_word
+from raagmcg import (
+    CapExceeded, DefiningGraph, Word, empty_word, minimal_representatives, normalize, parse_word,
+    word_from_pairs,
+)
 from conftest import random_graph, random_word
 from helpers import swap_closure_representatives
 
@@ -52,3 +55,14 @@ def test_long_pentagon_power_has_one_representative(pentagon):
     word = parse_word("a c e b d " * 400, pentagon)
     reps = minimal_representatives(word)
     assert reps == [Word(word.syllables, pentagon)]
+
+
+@pytest.mark.parametrize("n, count", [(3, 924), (4, 12_870)])
+def test_interleaving_walk_matches_swap_closure(n, count):
+    # (x y)^n (u v)^n in F2 x F2: C(4n, 2n) words, and a ready set of two
+    # generators at almost every depth.
+    graph = DefiningGraph.from_data("xyuv", [("x", "u"), ("x", "v"), ("y", "u"), ("y", "v")])
+    word = word_from_pairs(graph, [("x", 1), ("y", 1)] * n + [("u", 1), ("v", 1)] * n)
+    reps = minimal_representatives(word)
+    assert len(reps) == count
+    assert reps == swap_closure_representatives(word)

@@ -93,6 +93,51 @@ def test_command_loads_only_its_modules(child_report, command):
     assert set(modules) == MODULES_BY_COMMAND[command]
 
 
+# The standard-library modules the package imports.  A new module-level
+# import in the library has to be added here, where a review sees it.
+STDLIB_IMPORTS = (
+    "__future__", "collections", "dataclasses", "fractions", "functools", "itertools",
+    "json", "math", "numbers", "re", "sys", "typing",
+)
+
+# Prints the modules loaded by ``import raagmcg`` and the first access to
+# a public name, in a fresh interpreter.
+FIRST_ACCESS_CHILD = """
+import sys
+before = set(sys.modules)
+import raagmcg
+raagmcg.DefiningGraph
+print(*sorted(set(sys.modules) - before))
+"""
+
+# Prints the modules loaded by importing the names on the command line,
+# in a fresh interpreter.
+STDLIB_CHILD = """
+import sys
+before = set(sys.modules)
+for name in sys.argv[1:]:
+    __import__(name)
+print(*sorted(set(sys.modules) - before))
+"""
+
+
+def _child_modules(code, *args):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return set(out.split())
+
+
+def test_first_access_loads_only_the_listed_standard_library():
+    # Deterministic where the set-up time is not: a module-level import
+    # the list does not name fails here.
+    loaded = _child_modules(FIRST_ACCESS_CHILD)
+    allowed = _child_modules(STDLIB_CHILD, *STDLIB_IMPORTS)
+    package = {name for name in loaded if name.split(".")[0] == "raagmcg"}
+    assert {f"raagmcg.{name}" for name in SUBMODULES} <= package
+    assert loaded - package <= allowed, sorted(loaded - package - allowed)
+
+
 def test_public_names_are_the_submodules_objects():
     raagmcg.DefiningGraph
     namespace = vars(raagmcg)

@@ -2,12 +2,14 @@ import random
 
 import pytest
 
+import raagmcg.subsurface_map as subsurface_map
 from raagmcg import (
     Constants,
     DefiningGraph,
     InvalidConstants,
     MappedSubsurface,
     SyllableId,
+    SyllableOrder,
     check_order_embedding,
     check_representative_independence,
     default_constants,
@@ -19,9 +21,11 @@ from raagmcg import (
     parse_word,
     power,
     power_shift_map,
+    syllable_order,
     syllable_subsurface_map,
 )
-from conftest import random_word
+from conftest import random_graph, random_word
+from helpers import reference_order_embedding
 
 
 def w(text, graph):
@@ -94,6 +98,47 @@ def test_order_embedding_random_cyclically_reduced(pentagon):
             continue
         assert check_order_embedding(word).ok
         checked += 1
+
+
+def _corrupted(order, rng, vertices):
+    # The heap with one bit dropped, one bit added or one generator renamed.
+    ids, below = list(order.elements), list(order.below)
+    k = len(ids)
+    kind = rng.choice(("drop", "add", "rename"))
+    ordered = [(i, j) for j in range(k) for i in range(j) if below[j] >> i & 1]
+    unordered = [(i, j) for j in range(k) for i in range(j) if not below[j] >> i & 1]
+    if kind == "drop" and ordered:
+        i, j = rng.choice(ordered)
+        below[j] ^= 1 << i
+    elif kind == "add" and unordered:
+        i, j = rng.choice(unordered)
+        below[j] |= 1 << i
+    else:
+        p = rng.randrange(k)
+        s = ids[p]
+        other = rng.choice([v for v in vertices if v != s.generator])
+        ids[p] = SyllableId(other, s.exponent, s.occurrence)
+    return SyllableOrder(tuple(ids), tuple(below))
+
+
+def test_order_embedding_matches_the_pair_loops_on_corrupted_heaps(monkeypatch):
+    # The heap of a minimal word never fails the check, so the check is
+    # fed corrupted heaps of seeded words and compared with its pair loops.
+    rng = random.Random(20261021)
+    details = []
+    while len(details) < 2_000:
+        graph = random_graph(rng, max_vertices=6, edge_probability=rng.choice((0.3, 0.6)))
+        word = normalize(random_word(rng, graph, 9, min_syllables=2))
+        if len(word) < 2:
+            continue
+        corrupted = _corrupted(syllable_order(word), rng, graph.vertices)
+        monkeypatch.setattr(subsurface_map, "syllable_order", lambda _: corrupted)
+        result = check_order_embedding(word)
+        assert (result.ok, result.detail) == reference_order_embedding(corrupted, graph), word
+        details.append(result.detail)
+    for needle in ("map to the same subsurface", "with non-commuting generators",
+                   "is not the shared-prefix translate of its base"):
+        assert sum(needle in detail for detail in details) >= 20, needle
 
 
 def test_map_commutes_with_power_shifts(pentagon):

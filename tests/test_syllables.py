@@ -3,6 +3,7 @@ import random
 import pytest
 
 from raagmcg import (
+    DefiningGraph,
     NotCyclicallyReduced,
     ShiftMapUndefined,
     SyllableId,
@@ -18,9 +19,10 @@ from raagmcg import (
     power_shift_map,
     syllable_ids,
     syllable_order,
+    word_from_pairs,
 )
 from conftest import random_word
-from helpers import conjugacy_oracle_min_syllables
+from helpers import conjugacy_oracle_min_syllables, reference_covering_pairs
 
 
 def w(text, graph):
@@ -97,6 +99,36 @@ def test_order_hasse_covers(pentagon):
     assert '"a^1#1" -> "c^1#1";' in dot
     data = order.to_json_dict()
     assert data["elements"] == ["a^1#1", "c^1#1", "a^1#2"]
+
+
+def _half_dense_graph(rng, n=40):
+    # n vertices and exactly half of the vertex pairs as edges.
+    names = [f"v{i}" for i in range(n)]
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    return DefiningGraph.from_data(names, sorted(rng.sample(pairs, len(pairs) // 2)))
+
+
+def test_covering_pairs_match_the_mask_reference_on_long_words():
+    # Canonical words of 200 to 600 syllables on a 40-vertex graph, where
+    # an element has up to 40 predecessors.
+    rng = random.Random(20261020)
+    graph = _half_dense_graph(rng)
+    lengths = []
+    for _ in range(6):
+        order = syllable_order(random_word(rng, graph, 650, min_syllables=220))
+        lengths.append(len(order.elements))
+        assert order.covering_pairs() == reference_covering_pairs(order)
+    assert min(lengths) >= 200 and max(lengths) <= 600
+
+
+def test_covering_pairs_match_the_mask_reference_on_interleavings():
+    graph = DefiningGraph.from_data("xyuv", [("x", "u"), ("x", "v"), ("y", "u"), ("y", "v")])
+    for n in range(51):
+        word = word_from_pairs(graph, [("x", 1), ("y", 1)] * n + [("u", 1), ("v", 1)] * n)
+        order = syllable_order(word)
+        covering = order.covering_pairs()
+        assert covering == reference_covering_pairs(order), n
+        assert len(covering) == max(4 * n - 2, 0), n
 
 
 def test_every_minimal_word_extends_the_order(pentagon):
