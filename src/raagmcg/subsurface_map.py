@@ -12,13 +12,14 @@ its subsurface.
 Every prefix used here is the word on a down-set of the heap of the
 canonical word, so both are read off it without word arithmetic:
 
-  * the values take the first i canonical syllables as they stand;
+  * the values take the first i canonical syllables as they stand
+    (``Word.prefixes``, which does not check those syllables again);
     ``make_certificate`` passes on the word it has normalized, which
     ``normalize`` returns as it is, so no normal form is computed twice;
   * the order-embedding check reads the syllable ids and the heap masks
     off ``syllable_order``: the ids give each position's generator and
-    the support, and ``below[i] | below[j]`` is the union of two
-    down-sets;
+    the support, ``below[i] | below[j]`` is the union of two down-sets,
+    and the unordered pairs are read row by row off ``below``;
   * it decides star-coset equality of two down-sets from the generators
     on their symmetric difference, with one mask per base vertex v, bit
     p set when syllable p has its generator outside star(v); the same
@@ -90,12 +91,14 @@ def syllable_subsurface_map(word: Word) -> dict[SyllableId, MappedSubsurface]:
     A prefix of the canonical word is its own canonical form: it is
     minimal, and on it the greedy pass of ``normalize`` makes the same
     choice at every step as on the whole word, as a syllable movable to
-    the front of the prefix is movable to the front of the word."""
+    the front of the prefix is movable to the front of the word.  So the
+    prefixes are ``canonical.prefixes()``, built over its checked
+    syllables without checking them again."""
     canonical = normalize(word)
-    syllables = canonical.syllables
     return {
-        sid: MappedSubsurface(Word(syllables[:i], canonical.graph), s.generator)
-        for i, (sid, s) in enumerate(zip(syllable_ids(canonical), syllables))
+        sid: MappedSubsurface(prefix, s.generator)
+        for sid, s, prefix in zip(syllable_ids(canonical), canonical.syllables,
+                                  canonical.prefixes())
     }
 
 
@@ -148,38 +151,90 @@ def check_order_embedding(word: Word) -> CheckResult:
     test is one mask operation and no prefix is multiplied out.  That
     covers the commutation test too: two unordered syllables have
     distinct generators, which commute exactly when the second is not
-    outside the star of the first.
+    outside the star of the first.  ``outside[v]`` is the OR of the
+    position masks of the generators outside star(v): O(k + n·m) for k
+    syllables, m of them distinct generators, on n vertices.
+
+    The check reads the heap it is given, never one recomputed from the
+    word, and reports the same pair as a loop over all pairs (i, j),
+    i < j, in order: the least failing pair of the first test, or else
+    of the second.  It reaches that pair without such a loop:
+
+      * The first test fails on i and a later j of the same generator v
+        when ``outside[v]`` misses bits i..j-1.  Those bands grow with j,
+        so if some j fails with i, the next occurrence of v after i
+        fails with it too.  The answer is the least i that fails with
+        its next occurrence: O(k) mask operations.
+      * The second test goes row by row, j ascending.  The syllables
+        before j and unordered with it are the bits of
+        ``((1 << j) - 1) & ~below[j]``, read lowest first, and each pair
+        runs the tests in the loop's order: commutation, then the shared
+        prefix of i, then that of j.  So a row stops at its least
+        failing i.  A later row can only better that pair with a smaller
+        i, so it reads only the bits below the best i so far.  On a
+        chain, ``below[j]`` is all of ``(1 << j) - 1``, and no pair is
+        read; in general at most the unordered pairs are.
+
+    Labels are formatted for the reported pair only.
     """
     order = syllable_order(word)
     ids, below = order.elements, order.below
+    positions: dict[str, int] = {}  # bit p set when syllable p has the generator
+    last: dict[str, int] = {}  # the last position of each generator so far
+    after = [0] * len(ids)  # the next position of the same generator, 0 if none
+    for p, s in enumerate(ids):
+        v = s.generator
+        if v in last:
+            after[last[v]] = p
+            positions[v] |= 1 << p
+        else:
+            positions[v] = 1 << p
+        last[v] = p
     outside = {}
-    for v in {s.generator for s in ids}:
+    for v in positions:
         star = word.graph.star(v)
-        outside[v] = sum(1 << p for p, s in enumerate(ids) if s.generator not in star)
+        mask = 0
+        for h, at in positions.items():
+            if h not in star:
+                mask |= at
+        outside[v] = mask
     for i, s in enumerate(ids):
-        for j, t in enumerate(ids[i + 1:], i + 1):
-            v = s.generator
-            if v == t.generator and not outside[v] & (((1 << i) - 1) ^ ((1 << j) - 1)):
-                return CheckResult(
-                    False, f"{s.label()} and {t.label()} map to the same subsurface"
-                )
-    for i, s in enumerate(ids):
-        for j, t in enumerate(ids[i + 1:], i + 1):
-            if below[j] >> i & 1:
-                continue
+        j = after[i]
+        if j and not outside[s.generator] & ((1 << j) - (1 << i)):
+            return CheckResult(
+                False, f"{s.label()} and {ids[j].label()} map to the same subsurface"
+            )
+    position = {1 << p: p for p in range(len(ids))}  # a lowest bit's position
+    found = None  # the best failure so far: (s, t) non-commuting, or (s, None)
+    bound = -1  # the positions i below the best failing i
+    for j, t in enumerate(ids):
+        prefix = (1 << j) - 1
+        unordered = prefix & ~below[j] & bound
+        while unordered:
+            low = unordered & -unordered
+            unordered ^= low
+            i = position[low]
+            s = ids[i]
             if outside[s.generator] >> j & 1:
-                return CheckResult(
-                    False,
-                    f"unordered pair {s.label()}, {t.label()} with non-commuting generators",
-                )
-            down = below[i] | below[j]
-            for p, sid in ((i, s), (j, t)):
-                if outside[sid.generator] & (down ^ ((1 << p) - 1)):
-                    return CheckResult(
-                        False,
-                        f"{sid.label()} is not the shared-prefix translate of its base",
-                    )
-    return CheckResult(True)
+                found = (s, t)  # non-commuting generators
+            else:
+                down = below[i] | below[j]
+                if outside[s.generator] & (down ^ (low - 1)):
+                    found = (s, None)  # s is not the shared-prefix translate
+                elif outside[t.generator] & (down ^ prefix):
+                    found = (t, None)
+                else:
+                    continue
+            bound = low - 1
+            break
+    if found is None:
+        return CheckResult(True)
+    s, t = found
+    if t is None:
+        return CheckResult(False, f"{s.label()} is not the shared-prefix translate of its base")
+    return CheckResult(
+        False, f"unordered pair {s.label()}, {t.label()} with non-commuting generators"
+    )
 
 
 # -- constants and certificates ---------------------------------------------

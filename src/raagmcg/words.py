@@ -32,14 +32,18 @@ blocked set, the union of ``DefiningGraph.dependence`` over the pending
 syllables before it.  Each tuple also holds its own generator, which
 blocks nothing more in a minimal word (see ``_left_greedy``).  So the
 greedy phase costs O(k^2) unions of dependence tuples for k syllables.
-A linear pass, Kahn's algorithm on the heap with a priority queue keyed
-by vertex index, picks the same syllables; it waits until the benchmark
-keeps a bounded record per operation, since today a faster normal form
-shows there as more memory.  A bitmask prototype of it (not in this
-tree) took the benchmark's ``random-long`` ``calls_per_op`` from 949.7
-to 319.5 and its ``ops_per_s`` from 3,225 to 8,401, but raised its
-``peak_rss_mb`` by 12.4%, and cost 9% of ``commuting-blowup``'s
-``ops_per_s`` on its words of at most 14 syllables.
+A linear pass, Kahn's algorithm on the heap keyed by vertex index,
+picks the same syllables.  It waits until the benchmark keeps a bounded
+record per operation: today it keeps every per-pass latency, so a
+faster normal form shows there as more memory.  Two prototypes (not in
+this tree), at seed 1 of the benchmark's ``random-long`` workload:
+
+  * Kahn's algorithm on the masks: ``ops_per_s`` 2,998 -> 8,436,
+    ``peak_rss_mb`` 21.57 -> 24.01 (+11.3%);
+  * the quadratic greedy pass with an int mask as the blocked set:
+    ``ops_per_s`` 3,190 -> 8,349, ``peak_rss_mb`` 21.72 -> 24.59 (+13.2%).
+
+Both are past the benchmark's 10% bound on ``peak_rss_mb``.
 
 Termination: each insertion either appends or strictly decreases the
 pair (syllable count, letter length); the greedy pass only permutes a
@@ -49,7 +53,10 @@ overflow.
 The words ``normalize``, ``multiply``, ``invert`` and ``power`` return are
 marked canonical (so is the reduced word of ``cyclically_reduce``), and
 ``normalize`` returns a marked word as it is; the mark is not a field,
-so equality, hashing and repr ignore it.
+so equality, hashing and repr ignore it.  Those normal forms, the
+minimal representatives and ``Word.prefixes`` are built from syllables
+already checked against the graph, so they skip the check of
+``Word.__post_init__``; ``Word(...)`` keeps it.
 """
 
 from __future__ import annotations
@@ -72,7 +79,7 @@ _EXPONENT = re.compile(r"-?[0-9]+")
 Pair = tuple[int, int]  # (vertex index, exponent)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Syllable:
     """One block ``generator^exponent``.  Normalized words never carry a
     zero exponent; raw move inputs may."""
@@ -90,8 +97,9 @@ class Word:
     _canonical = False  # not a field; set on normal forms (see the module docstring)
 
     def __post_init__(self):
+        index = self.graph.index
         for s in self.syllables:
-            if s.generator not in self.graph.index:
+            if s.generator not in index:
                 raise UnknownVertex(
                     f"unknown generator {s.generator!r}", label=s.generator
                 )
@@ -135,6 +143,20 @@ class Word:
 
     def power(self, n: int) -> "Word":
         return power(self, n)
+
+    def prefixes(self) -> list["Word"]:
+        """The words on the first i syllables, for i = 0, ..., len(self) - 1.
+        They reuse this word's syllables, already checked against the
+        graph, so ``__post_init__`` does not check them again.  No prefix
+        is marked canonical."""
+        syllables, graph = self.syllables, self.graph
+        prefixes = []
+        for i in range(len(syllables)):
+            prefix = object.__new__(Word)
+            object.__setattr__(prefix, "syllables", syllables[:i])
+            object.__setattr__(prefix, "graph", graph)
+            prefixes.append(prefix)
+        return prefixes
 
 
 def empty_word(graph: DefiningGraph) -> Word:
@@ -186,8 +208,13 @@ def _encode(word: Word) -> tuple[Pair, ...]:
 
 
 def _decode(pairs: Iterable[Pair], graph: DefiningGraph) -> Word:
+    # Every generator comes from graph.vertices, so the word skips the
+    # check of __post_init__.
     verts = graph.vertices
-    return Word(tuple(Syllable(verts[g], e) for g, e in pairs), graph)
+    word = object.__new__(Word)
+    object.__setattr__(word, "syllables", tuple([Syllable(verts[g], e) for g, e in pairs]))
+    object.__setattr__(word, "graph", graph)
+    return word
 
 
 def _push(out: list[Pair], g: int, e: int, comm) -> None:
@@ -414,7 +441,8 @@ def minimal_representatives(word: Word, cap: int = DEFAULT_CAP) -> list[Word]:
     in increasing generator index, and two words first differ at two
     ready syllables, so at two generators: the list comes out sorted,
     each word once.  Each word is built from the normal form's own
-    syllables.
+    syllables, already checked against the graph, so it skips the check
+    of ``__post_init__``.
 
     Raises CapExceeded once more than ``cap`` words are found; a word
     with one representative returns it for any ``cap``.
@@ -443,7 +471,10 @@ def minimal_representatives(word: Word, cap: int = DEFAULT_CAP) -> list[Word]:
             if count and count >= cap:
                 raise CapExceeded(f"more than {cap} minimal representatives", cap=cap)
             count += 1
-            reps.append(Word(tuple(map(syllables.__getitem__, path)), graph))
+            rep = object.__new__(Word)  # the normal form's checked syllables: no __post_init__
+            object.__setattr__(rep, "syllables", tuple(map(syllables.__getitem__, path)))
+            object.__setattr__(rep, "graph", graph)
+            reps.append(rep)
         else:
             m = untried[depth]
             if m:

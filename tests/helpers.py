@@ -55,22 +55,22 @@ from raagmcg import (
 
 
 def naive_swap_closure(word: Word) -> set[tuple[tuple[str, int], ...]]:
-    """Fixpoint closure of a word under single adjacent commuting swaps,
-    via repeated full rescans of a plain set."""
+    """Closure of a word under single adjacent commuting swaps, grown from
+    a worklist over a plain set: each word is scanned once, when it is
+    taken off the worklist."""
     graph = word.graph
     start = tuple((s.generator, s.exponent) for s in word.syllables)
     closure = {start}
-    grew = True
-    while grew:
-        grew = False
-        for w in list(closure):
-            for i in range(len(w) - 1):
-                (g, e), (h, f) = w[i], w[i + 1]
-                if g != h and graph.has_edge(g, h):
-                    swapped = w[:i] + ((h, f), (g, e)) + w[i + 2:]
-                    if swapped not in closure:
-                        closure.add(swapped)
-                        grew = True
+    pending = [start]
+    while pending:
+        w = pending.pop()
+        for i in range(len(w) - 1):
+            (g, e), (h, f) = w[i], w[i + 1]
+            if g != h and graph.has_edge(g, h):
+                swapped = w[:i] + ((h, f), (g, e)) + w[i + 2:]
+                if swapped not in closure:
+                    closure.add(swapped)
+                    pending.append(swapped)
     return closure
 
 

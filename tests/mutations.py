@@ -125,11 +125,12 @@ MUTATIONS = [
         "            pass\n        if self.k < 20:",
         ("tests/test_subsurface_map.py::test_hand_built_constants_that_are_not_finite_numbers_are_typed",),
     ),
-    # The order-embedding check, fed corrupted heaps: each of its three tests.
+    # The order-embedding check, fed corrupted heaps: each of its three tests,
+    # the next occurrence the first test reads, and the best-i bound of the rows.
     Mutation(
         "embedding-same-subsurface",
         "subsurface_map.py",
-        "if v == t.generator and not outside[v] & (((1 << i) - 1) ^ ((1 << j) - 1)):",
+        "if j and not outside[s.generator] & ((1 << j) - (1 << i)):",
         "if False:",
         (EMBEDDING_TEST,),
     ),
@@ -143,8 +144,26 @@ MUTATIONS = [
     Mutation(
         "embedding-shared-prefix",
         "subsurface_map.py",
-        "if outside[sid.generator] & (down ^ ((1 << p) - 1)):",
-        "if False:",
+        "                if outside[s.generator] & (down ^ (low - 1)):\n"
+        "                    found = (s, None)  # s is not the shared-prefix translate\n"
+        "                elif outside[t.generator] & (down ^ prefix):",
+        "                if False:\n"
+        "                    found = (s, None)  # s is not the shared-prefix translate\n"
+        "                elif False:",
+        (EMBEDDING_TEST,),
+    ),
+    Mutation(
+        "embedding-next-but-one",
+        "subsurface_map.py",
+        "        j = after[i]\n",
+        "        j = after[i] and after[after[i]]\n",
+        (EMBEDDING_TEST,),
+    ),
+    Mutation(
+        "embedding-best-i-bound",
+        "subsurface_map.py",
+        "unordered = prefix & ~below[j] & bound",
+        "unordered = prefix & ~below[j]",
         (EMBEDDING_TEST,),
     ),
     # The heap and the dependence relation behind it.
@@ -191,6 +210,13 @@ MUTATIONS = [
             "tests/test_representatives.py::test_heap_walk_matches_swap_closure_on_random_words",
             "tests/test_representatives.py::test_interleaving_walk_matches_swap_closure[3-924]",
         ),
+    ),
+    Mutation(
+        "representatives-wrong-path",
+        "words.py",
+        "tuple(map(syllables.__getitem__, path))",
+        "tuple(map(syllables.__getitem__, sorted(path)))",
+        ("tests/test_representatives.py::test_heap_walk_matches_swap_closure_on_random_words",),
     ),
     Mutation(
         "representatives-ready-test",
