@@ -25,9 +25,12 @@ canonical word, so both are read off it without word arithmetic:
     p set when syllable p has its generator outside star(v); the same
     masks say whether two unordered syllables commute.
 
-``MappedSubsurface.equivalent``, which multiplies out, and
-``check_representative_independence``, which walks every minimal
-representative, stay as the references the tests compare against.
+``MappedSubsurface.equivalent`` decides the same coset equality for
+any two prefixes, from the free reduction of prefix^-1 * other: it
+multiplies nothing out (the tests keep the version that did, as
+``reference_equivalent``).  ``check_representative_independence``,
+which walks every minimal representative, stays as the reference the
+tests compare against.
 
 Certificates record, per syllable, the guaranteed projection distance
 K * |exponent| between a basepoint marking and its image, where
@@ -49,16 +52,14 @@ from numbers import Real
 from typing import Mapping
 
 from .defining_graph import DefiningGraph
-from .errors import IntegerTooLong, InvalidConstants
+from .errors import GraphMismatch, IntegerTooLong, InvalidConstants
 from .syllables import SyllableId, _ids_of_sequence, syllable_ids, syllable_order
 from .words import (
     DEFAULT_CAP,
+    Syllable,
     Word,
-    empty_word,
     in_special_subgroup,
-    invert,
     minimal_representatives,
-    multiply,
     normalize,
 )
 
@@ -76,10 +77,19 @@ class MappedSubsurface:
     base_vertex: str
 
     def equivalent(self, other: "MappedSubsurface") -> bool:
+        """Whether prefix^-1 * other.prefix lies in the star subgroup of
+        the common base.  The concatenation is the first prefix's
+        syllables reversed, with negated exponents, then the other's, and
+        ``in_special_subgroup`` reads its free reduction: no normal form
+        is computed."""
         if self.base_vertex != other.base_vertex:
             return False
-        difference = multiply(invert(self.prefix), other.prefix)
-        return in_special_subgroup(difference, self.prefix.graph.star(self.base_vertex))
+        graph = self.prefix.graph
+        if graph != other.prefix.graph:
+            raise GraphMismatch("words live over different defining graphs")
+        inverse = [Syllable(s.generator, -s.exponent) for s in reversed(self.prefix.syllables)]
+        difference = Word((*inverse, *other.prefix.syllables), graph)
+        return in_special_subgroup(difference, graph.star(self.base_vertex))
 
 
 def syllable_subsurface_map(word: Word) -> dict[SyllableId, MappedSubsurface]:
@@ -111,19 +121,21 @@ class CheckResult:
 def check_representative_independence(word: Word, cap: int = DEFAULT_CAP) -> CheckResult:
     """Recompute the syllable-to-subsurface values along every minimal
     representative and compare with the canonical values under star-coset
-    equality.  Returns the first counterexample found, if any."""
-    reference = syllable_subsurface_map(word)
-    for rep in minimal_representatives(word, cap):
-        ids = _ids_of_sequence(rep.syllables)
-        prefix = empty_word(word.graph)
-        for sid, syllable in zip(ids, rep.syllables):
-            value = MappedSubsurface(prefix, syllable.generator)
-            if not value.equivalent(reference[sid]):
+    equality.  Returns the first counterexample found, if any.
+
+    A value's prefix is the word on the syllables before it in the
+    representative as they stand (``rep.prefixes()``): ``equivalent``
+    reads only the element, so no prefix is multiplied out.  The word is
+    normalized once, for both the values and the representatives."""
+    canonical = normalize(word)
+    reference = syllable_subsurface_map(canonical)
+    for rep in minimal_representatives(canonical, cap):
+        for sid, prefix in zip(_ids_of_sequence(rep.syllables), rep.prefixes()):
+            if not MappedSubsurface(prefix, sid.generator).equivalent(reference[sid]):
                 return CheckResult(
                     False,
                     f"syllable {sid.label()} gets a different subsurface in {rep}",
                 )
-            prefix = multiply(prefix, Word((syllable,), word.graph))
     return CheckResult(True)
 
 

@@ -45,6 +45,16 @@ this tree), at seed 1 of the benchmark's ``random-long`` workload:
 
 Both are past the benchmark's 10% bound on ``peak_rss_mb``.
 
+The first phase alone, the free reduction ``_minimal_pairs``, already
+gives a minimal word, and every minimal word of an element has the same
+syllables (Servatius 1989; Hermiller-Meier 1995).  So the questions
+that depend only on which generators a minimal word uses read the free
+reduction and skip the greedy pass: ``is_minimal`` (its length) and
+``in_special_subgroup`` (its generators), the latter also behind the
+star-coset test ``MappedSubsurface.equivalent``.  ``equal_elements``
+compares two normal forms, as two minimal words of one element may
+still differ by swaps.
+
 Termination: each insertion either appends or strictly decreases the
 pair (syllable count, letter length); the greedy pass only permutes a
 fixed multiset.  Exponents are plain Python integers, so powers never
@@ -204,7 +214,7 @@ def parse_word(text: str, graph: DefiningGraph, keep_zero_exponents: bool = Fals
 
 def _encode(word: Word) -> tuple[Pair, ...]:
     idx = word.graph.index
-    return tuple((idx[s.generator], s.exponent) for s in word.syllables)
+    return tuple([(idx[s.generator], s.exponent) for s in word.syllables])
 
 
 def _decode(pairs: Iterable[Pair], graph: DefiningGraph) -> Word:
@@ -217,31 +227,43 @@ def _decode(pairs: Iterable[Pair], graph: DefiningGraph) -> Word:
     return word
 
 
-def _push(out: list[Pair], g: int, e: int, comm) -> None:
-    # Slide g^e leftward from the end of ``out`` until it merges with a
-    # syllable of the same generator or is blocked.  Keeps ``out`` minimal.
-    if e == 0:
-        return
-    j = len(out) - 1
-    while j >= 0:
-        gj, ej = out[j]
-        if gj == g:
-            s = ej + e
-            if s == 0:
-                del out[j]
-            else:
-                out[j] = (g, s)
-            return
-        if not comm[gj][g]:
-            break
-        j -= 1
-    out.append((g, e))
-
-
 def _minimal_pairs(pairs: Iterable[Pair], comm) -> list[Pair]:
+    """The free reduction: a minimal word of the element, by moves (1)
+    and (2) applied eagerly and move (3) as needed.  Each syllable g^e
+    slides leftward from the end of ``out`` past syllables that commute
+    with g, until it merges with a syllable of g (both go when the
+    exponents cancel) or meets one that does not commute with g, after
+    which it is appended.
+
+    A word is minimal exactly when every two syllables of one generator
+    have a syllable that does not commute with it between them.  ``out``
+    keeps that property: an appended syllable has such a blocker, or no
+    earlier syllable of its generator; a merge changes no generator; and
+    a cancelled syllable of g commutes with every syllable after it, so
+    it separated no two syllables of a generator that does not commute
+    with g.  One walk back per syllable, so O(k^2) for k syllables; the
+    count ``size`` stands in for ``len(out)``."""
     out: list[Pair] = []
+    size = 0
     for g, e in pairs:
-        _push(out, g, e, comm)
+        if e == 0:
+            continue
+        commutes = comm[g]
+        j = size - 1
+        while j >= 0:
+            h, f = out[j]
+            if h == g:
+                s = f + e
+                if s == 0:
+                    del out[j]
+                    size -= 1
+                else:
+                    out[j] = (g, s)
+                break
+            j = j - 1 if commutes[h] else -1  # -1: blocked, so appended below
+        else:
+            out.append((g, e))
+            size += 1
     return out
 
 
@@ -328,13 +350,29 @@ def equal_elements(u: Word, v: Word) -> bool:
 
 
 def in_special_subgroup(u: Word, generators: Iterable[str]) -> bool:
-    """Whether u lies in the subgroup generated by the given vertex set.
-    An element lies there exactly when its normal form only uses those
-    generators."""
-    gens = set(generators)
-    for g in gens:
-        u.graph.require_vertex(g)
-    return all(s.generator in gens for s in normalize(u).syllables)
+    """Whether u lies in the subgroup generated by the given vertex set S.
+
+    An element lies there exactly when one, and then every, minimal word
+    of it uses only generators in S.  Minimal words of one element differ
+    by swaps of adjacent commuting syllables, so they all have the same
+    syllables (Servatius 1989; Hermiller-Meier 1995), and a word over S
+    reduces by moves (1)-(3), which bring in no generator, to a minimal
+    word over S.  The free reduction ``_minimal_pairs`` is a minimal word
+    of u, so no normal form is computed.
+
+    Raises UnknownVertex for the first generator, in the order given,
+    that is not a vertex."""
+    graph = u.graph
+    index = graph.index
+    allowed = 0  # bit g set when generator g lies in S
+    for v in generators:
+        if v not in index:
+            graph.require_vertex(v)  # raises UnknownVertex
+        allowed |= 1 << index[v]
+    for g, _ in _minimal_pairs(_encode(u), graph.commutation_matrix):
+        if not allowed >> g & 1:
+            return False
+    return True
 
 
 def _require_same_graph(u: Word, v: Word) -> None:

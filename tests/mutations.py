@@ -190,9 +190,31 @@ MUTATIONS = [
     Mutation(
         "push-cancel",
         "words.py",
-        "            if s == 0:\n                del out[j]",
-        "            if False:\n                del out[j]",
+        "                if s == 0:\n                    del out[j]",
+        "                if False:\n                    del out[j]",
         ("tests/test_words.py::test_multiply_cancels",),
+    ),
+    # Subgroup and star-coset tests: the free reduction of the word, and the
+    # inverse of the first prefix.
+    Mutation(
+        "subgroup-raw-word",
+        "words.py",
+        "_minimal_pairs(_encode(u), graph.commutation_matrix)",
+        "_encode(u)",
+        (
+            "tests/test_star_cosets.py::test_subgroup_matches_the_normal_form_reference_on_seeded_words",
+            "tests/test_star_cosets.py::test_subgroup_reads_the_reduced_word_not_the_raw_one",
+        ),
+    ),
+    Mutation(
+        "coset-inverse-sign",
+        "subsurface_map.py",
+        "Syllable(s.generator, -s.exponent)",
+        "Syllable(s.generator, s.exponent)",
+        (
+            "tests/test_star_cosets.py::test_equivalent_matches_the_multiplying_reference_on_seeded_values",
+            "tests/test_star_cosets.py::test_equivalent_inverts_the_first_prefix",
+        ),
     ),
     Mutation(
         "greedy-tie-break",

@@ -12,12 +12,16 @@ import pytest
 import raagmcg.syllables as syllables
 import raagmcg.words as words
 from raagmcg import (
+    MappedSubsurface,
     build_standard_realization,
     check_order_embedding,
+    check_representative_independence,
     classify,
     cyclically_reduce,
     default_constants,
+    in_special_subgroup,
     make_certificate,
+    normalize,
     parse_word,
     syllable_order,
     verify_power_properties,
@@ -80,3 +84,27 @@ def test_verify_power_properties_normalizes_once(counted, pentagon):
     # ``is_minimal`` tests and ``heap_masks`` orders without normalizing.
     word = parse_word("a c e b d", pentagon)
     assert counted(lambda: verify_power_properties(word)) == (1, 0)
+
+
+@pytest.mark.parametrize("text", WORDS)
+def test_subgroup_and_coset_tests_compute_no_normal_form(counted, pentagon, text):
+    # Both read the free reduction, of the word or of prefix^-1 * other.
+    word = parse_word(text, pentagon)
+    normal_forms = []
+    assert counted(lambda: normal_forms.append(normalize(word))) == (1, 0)
+    canonical = normal_forms[0]
+    for call in (
+        lambda: in_special_subgroup(word, "ace"),
+        lambda: in_special_subgroup(canonical, "bd"),
+        lambda: MappedSubsurface(word, "a").equivalent(MappedSubsurface(canonical, "a")),
+        lambda: MappedSubsurface(canonical, "c").equivalent(MappedSubsurface(word, "c")),
+    ):
+        assert counted(call) == (0, 0)
+
+
+@pytest.mark.parametrize("text", WORDS)
+def test_representative_independence_normalizes_once(counted, pentagon, text):
+    # The values and the representatives come from one canonical word, and
+    # each representative's prefixes are compared as they stand.
+    word = parse_word(text, pentagon)
+    assert counted(lambda: check_representative_independence(word)) == (1, 0)
