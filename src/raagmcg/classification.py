@@ -87,6 +87,12 @@ def classify(word: Word, realization: Realization) -> ClassificationReport:
     union of the components' heaps, and the restriction stays minimal.
     The greedy pass emits the smallest movable generator, so on a
     disjoint union it restricts to the greedy pass of each part.
+
+    The reduced word's syllables are checked already, so a component's
+    word is built from them without checking them again.  When the
+    complement graph leaves one component, that component is the whole
+    support: its word is the reduced word, and its fill is the support's
+    fill, so ``fill`` runs once.
     """
     if word.graph != realization.graph:
         raise GraphMismatch("word and realization use different defining graphs")
@@ -96,16 +102,21 @@ def classify(word: Word, realization: Realization) -> ClassificationReport:
     r = len(support)
     if r == 0:
         return ClassificationReport(canonical, reduced, conjugator, 0, (), "identity", None)
-    fill_result = fill(realization, support)
-    components = []
-    for part in fill_result.components:
-        components.append(
-            ComponentReport(
-                generators=part,
-                word=Word(tuple(s for s in reduced.syllables if s.generator in part), word.graph),
-                fills_ambient=fill(realization, part).fills_ambient,
+    filled = fill(realization, support)
+    if len(filled.components) == 1:
+        components = [ComponentReport(filled.components[0], reduced, filled.fills_ambient)]
+    else:
+        components = []
+        for part in filled.components:
+            part_word = object.__new__(Word)  # the reduced word's checked syllables
+            object.__setattr__(
+                part_word, "syllables",
+                tuple([s for s in reduced.syllables if s.generator in part]),
             )
-        )
+            object.__setattr__(part_word, "graph", reduced.graph)
+            components.append(
+                ComponentReport(part, part_word, fill(realization, part).fills_ambient)
+            )
     pseudo_anosov = len(components) == 1 and components[0].fills_ambient
     overall = "pseudo_anosov" if pseudo_anosov else "reducible"
     bound = Fraction(1, 2 * r + 1) if pseudo_anosov else None

@@ -239,7 +239,8 @@ def main(argv=None) -> int:
     except RaagError as err:
         _emit_json(err.to_json_dict())
         return 1
-    except (OSError, ValueError) as err:
+    except (OSError, ValueError, MemoryError) as err:
+        # MemoryError: a certificate's JSON grows as the square of the word.
         _emit_json({"error": type(err).__name__, "message": str(err), "details": {}})
         return 1
 

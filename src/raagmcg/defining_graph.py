@@ -131,16 +131,17 @@ class DefiningGraph:
     @cached_property
     def commutation_matrix(self) -> tuple[tuple[bool, ...], ...]:
         """commutation_matrix[i][j] is True iff generators i, j commute
-        (equal generators included).  Indexed by vertex order."""
-        n = len(self.vertices)
-        rows = []
-        for i in range(n):
-            vi = self.vertices[i]
-            row = tuple(
-                i == j or self.has_edge(vi, self.vertices[j]) for j in range(n)
-            )
-            rows.append(row)
-        return tuple(rows)
+        (equal generators included).  Indexed by vertex order, and built
+        from the edge set: one step per vertex and per edge, not per pair."""
+        n, index = len(self.vertices), self.index
+        rows = [[False] * n for _ in range(n)]
+        for i, row in enumerate(rows):
+            row[i] = True
+        for edge in self.edges:  # validated: two distinct vertices each
+            u, v = edge
+            i, j = index[u], index[v]
+            rows[i][j] = rows[j][i] = True
+        return tuple([tuple(row) for row in rows])
 
     @cached_property
     def dependence(self) -> tuple[tuple[int, ...], ...]:

@@ -15,7 +15,10 @@ canonical word, so both are read off it without word arithmetic:
   * the values take the first i canonical syllables as they stand
     (``Word.prefixes``, which does not check those syllables again);
     ``make_certificate`` passes on the word it has normalized, which
-    ``normalize`` returns as it is, so no normal form is computed twice;
+    ``normalize`` returns as it is, so no normal form is computed twice,
+    and takes its entries from the same list of (id, value) pairs as
+    the map, in canonical order, with no dict keyed by id; its JSON
+    prints each prefix as the first tokens of the canonical word;
   * the order-embedding check reads the syllable ids and the heap masks
     off ``syllable_order``: the ids give each position's generator and
     the support, ``below[i] | below[j]`` is the union of two down-sets,
@@ -53,7 +56,7 @@ from typing import Mapping
 
 from .defining_graph import DefiningGraph
 from .errors import GraphMismatch, IntegerTooLong, InvalidConstants
-from .syllables import SyllableId, _ids_of_sequence, syllable_ids, syllable_order
+from .syllables import SyllableId, _ids_of_sequence, syllable_order
 from .words import (
     DEFAULT_CAP,
     Syllable,
@@ -81,14 +84,17 @@ class MappedSubsurface:
         the common base.  The concatenation is the first prefix's
         syllables reversed, with negated exponents, then the other's, and
         ``in_special_subgroup`` reads its free reduction: no normal form
-        is computed."""
+        is computed.  Both prefixes hold syllables already checked against
+        the common graph, so the word skips the check of ``__post_init__``."""
         if self.base_vertex != other.base_vertex:
             return False
         graph = self.prefix.graph
         if graph != other.prefix.graph:
             raise GraphMismatch("words live over different defining graphs")
         inverse = [Syllable(s.generator, -s.exponent) for s in reversed(self.prefix.syllables)]
-        difference = Word((*inverse, *other.prefix.syllables), graph)
+        difference = object.__new__(Word)
+        object.__setattr__(difference, "syllables", (*inverse, *other.prefix.syllables))
+        object.__setattr__(difference, "graph", graph)
         return in_special_subgroup(difference, graph.star(self.base_vertex))
 
 
@@ -104,12 +110,16 @@ def syllable_subsurface_map(word: Word) -> dict[SyllableId, MappedSubsurface]:
     the front of the prefix is movable to the front of the word.  So the
     prefixes are ``canonical.prefixes()``, built over its checked
     syllables without checking them again."""
-    canonical = normalize(word)
-    return {
-        sid: MappedSubsurface(prefix, s.generator)
-        for sid, s, prefix in zip(syllable_ids(canonical), canonical.syllables,
-                                  canonical.prefixes())
-    }
+    return dict(_mapped(normalize(word)))
+
+
+def _mapped(canonical: Word) -> list[tuple[SyllableId, MappedSubsurface]]:
+    # The values of syllable_subsurface_map, in canonical order: the one
+    # source of the assignment, for the map and for make_certificate.
+    return [
+        (sid, MappedSubsurface(prefix, sid.generator))
+        for sid, prefix in zip(_ids_of_sequence(canonical.syllables), canonical.prefixes())
+    ]
 
 
 @dataclass(frozen=True)
@@ -253,7 +263,8 @@ def check_order_embedding(word: Word) -> CheckResult:
 
 
 def _check_number(name: str, value) -> None:
-    if not isinstance(value, Real):
+    # int and float first: the Real ABC hook costs two more calls.
+    if not isinstance(value, (int, float)) and not isinstance(value, Real):
         raise InvalidConstants(f"{name} must be a real number", field=name)
     if not -math.inf < value < math.inf:
         raise InvalidConstants(f"{name} must be finite (got {value})", field=name)
@@ -351,7 +362,7 @@ class Constants:
             if v not in self.tau:
                 raise InvalidConstants(f"tau undefined for vertex {v!r}", field="tau")
             tau = self.tau[v]
-            if not isinstance(tau, Real):
+            if not isinstance(tau, (int, float)) and not isinstance(tau, Real):
                 raise InvalidConstants(f"tau({v}) must be a real number", field="tau")
             if tau < self.c:
                 raise _invalid(
@@ -401,17 +412,27 @@ class Certificate:
     templates: tuple[str, ...]
 
     def to_json_dict(self) -> dict:
+        """The certificate as JSON data.  A prefix equal to sigma's first
+        i syllables, as entry i's prefix is in every certificate that
+        ``make_certificate`` builds, prints as sigma's first i tokens
+        joined: one tuple comparison, of the same syllable objects, instead
+        of formatting the prefix again.  Any other prefix prints as
+        ``str(prefix)``."""
+        tokens, syllables = self.sigma._tokens(), self.sigma.syllables
         return {
-            "sigma": str(self.sigma),
+            "sigma": " ".join(tokens),
             "constants": self.constants.to_json_dict(),
             "entries": [
                 {
                     "syllable": e.syllable.label(),
-                    "prefix": str(e.subsurface.prefix),
+                    "prefix": (
+                        " ".join(tokens[:i]) if e.subsurface.prefix.syllables == syllables[:i]
+                        else str(e.subsurface.prefix)
+                    ),
                     "base": e.subsurface.base_vertex,
                     "bound": e.bound,
                 }
-                for e in self.entries
+                for i, e in enumerate(self.entries)
             ],
             "total": self.total,
             "templates": list(self.templates),
@@ -427,15 +448,19 @@ def make_certificate(word: Word, constants: Constants) -> Certificate:
     All the mapped subsurfaces are nonannular, so the Weil-Petersson
     template keeps the full sum and the Teichmueller template has an
     empty annular term.
+
+    The entries come from one walk over the canonical word's checked
+    syllables, the (id, prefix, base vertex) walk behind
+    ``syllable_subsurface_map``, in canonical order: no dict keyed by
+    syllable id is built, so no id is hashed.
     """
     constants.validate(word.graph)
     canonical = normalize(word)
-    total = _total(constants.k, canonical.letter_length())
-    assignment = syllable_subsurface_map(canonical)
-    entries = tuple(
-        CertificateEntry(sid, sub, constants.k * abs(sid.exponent))
-        for sid, sub in assignment.items()
-    )
+    k = constants.k
+    total = _total(k, canonical.letter_length())
+    entries = tuple([
+        CertificateEntry(sid, value, k * abs(sid.exponent)) for sid, value in _mapped(canonical)
+    ])
     rhs = f"({_fmt(total)} - {_fmt(constants.b)})/{_fmt(constants.a)}"
     templates = (
         f"d_MM >= {rhs}",

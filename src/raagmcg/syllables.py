@@ -59,12 +59,14 @@ class SyllableId:
 
 
 def _ids_of_sequence(syllables: Sequence[Syllable]) -> list[SyllableId]:
+    # One walk, and no builtin call per syllable: the list is allocated
+    # once and the count is read with ``in``, not ``dict.get``.
     counts: dict[tuple[str, int], int] = {}
-    ids = []
-    for s in syllables:
-        key = (s.generator, s.exponent)
-        counts[key] = counts.get(key, 0) + 1
-        ids.append(SyllableId(s.generator, s.exponent, counts[key]))
+    ids = [None] * len(syllables)
+    for p, s in enumerate(syllables):
+        key = s.generator, s.exponent
+        counts[key] = n = counts[key] + 1 if key in counts else 1
+        ids[p] = SyllableId(s.generator, s.exponent, n)
     return ids
 
 
@@ -339,7 +341,9 @@ def cyclically_reduce(word: Word) -> tuple[Word, Word]:
             current.remove(target)
             if not moved_first:
                 current.reorder()
-    reduced = Word(current.remaining(), current.graph)
+    reduced = object.__new__(Word)  # the canonical word's checked syllables: no __post_init__
+    object.__setattr__(reduced, "syllables", current.remaining())
+    object.__setattr__(reduced, "graph", current.graph)
     object.__setattr__(reduced, "_canonical", True)  # the edits keep it canonical
     return reduced, normalize(Word(tuple(factors), current.graph))
 

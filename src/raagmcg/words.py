@@ -66,7 +66,9 @@ marked canonical (so is the reduced word of ``cyclically_reduce``), and
 so equality, hashing and repr ignore it.  Those normal forms, the
 minimal representatives and ``Word.prefixes`` are built from syllables
 already checked against the graph, so they skip the check of
-``Word.__post_init__``; ``Word(...)`` keeps it.
+``Word.__post_init__``, as do the reduced word of ``cyclically_reduce``,
+the component words of ``classify`` and the difference word of
+``MappedSubsurface.equivalent``; ``Word(...)`` keeps it.
 """
 
 from __future__ import annotations
@@ -115,11 +117,16 @@ class Word:
                 )
 
     def __str__(self) -> str:
+        return " ".join(self._tokens())
+
+    def _tokens(self) -> list[str]:
+        # One token per syllable: what __str__ joins, and what a certificate
+        # joins to print a prefix of its word.
         try:
-            return " ".join(
+            return [
                 s.generator if s.exponent == 1 else f"{s.generator}^{s.exponent}"
                 for s in self.syllables
-            )
+            ]
         except ValueError:  # an exponent past the int-to-str digit limit
             raise IntegerTooLong() from None
 
@@ -137,10 +144,10 @@ class Word:
         return not self.syllables
 
     def letter_length(self) -> int:
-        return sum(abs(s.exponent) for s in self.syllables)
+        return sum([abs(s.exponent) for s in self.syllables])
 
     def support(self) -> frozenset[str]:
-        return frozenset(s.generator for s in self.syllables)
+        return frozenset([s.generator for s in self.syllables])
 
     def normalize(self) -> "Word":
         return normalize(self)
@@ -160,12 +167,10 @@ class Word:
         graph, so ``__post_init__`` does not check them again.  No prefix
         is marked canonical."""
         syllables, graph = self.syllables, self.graph
-        prefixes = []
-        for i in range(len(syllables)):
-            prefix = object.__new__(Word)
+        prefixes = [object.__new__(Word) for _ in syllables]
+        for i, prefix in enumerate(prefixes):
             object.__setattr__(prefix, "syllables", syllables[:i])
             object.__setattr__(prefix, "graph", graph)
-            prefixes.append(prefix)
         return prefixes
 
 

@@ -23,17 +23,29 @@ or not.  ``reference_in_special_subgroup`` and ``reference_equivalent``
 keep the subgroup and star-coset tests as they read the normal form of
 the word, and of the multiplied-out prefix^-1 * other, before they read
 the free reduction; ``enumerated_order_embedding`` compares values with
-``reference_equivalent``.
+``reference_equivalent``.  ``reference_make_certificate``,
+``reference_certificate_json`` and ``reference_classify`` keep the
+certificate, its JSON and the classification as they were built before
+one walk over the canonical word fed them: the assignment as a dict
+keyed by syllable id, every prefix formatted on its own, and one
+``fill`` per component, each component word checked again.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 
 from raagmcg import (
     DEFAULT_CAP,
+    Certificate,
+    CertificateEntry,
     CheckResult,
+    ClassificationReport,
+    ComponentReport,
+    Constants,
     GraphMismatch,
+    IntegerTooLong,
     MappedSubsurface,
     NotCyclicallyReduced,
     Realization,
@@ -43,6 +55,7 @@ from raagmcg import (
     Word,
     build_standard_realization,
     concatenated_power,
+    cyclically_reduce,
     empty_word,
     fill,
     invert,
@@ -56,6 +69,7 @@ from raagmcg import (
     syllable_subsurface_map,
     word_from_pairs,
 )
+from raagmcg.subsurface_map import _fmt, _total
 
 
 def naive_swap_closure(word: Word) -> set[tuple[tuple[str, int], ...]]:
@@ -472,3 +486,90 @@ def reference_order_embedding(order: SyllableOrder, graph) -> tuple[bool, str]:
                 if outside[sid.generator] & (down ^ ((1 << p) - 1)):
                     return False, f"{sid.label()} is not the shared-prefix translate of its base"
     return True, ""
+
+
+# -- certificate and classification references -----------------------------------
+
+
+def reference_text(word: Word) -> str:
+    """``str(word)``, formatted syllable by syllable."""
+    try:
+        return " ".join(
+            s.generator if s.exponent == 1 else f"{s.generator}^{s.exponent}"
+            for s in word.syllables
+        )
+    except ValueError:  # an exponent past the int-to-str digit limit
+        raise IntegerTooLong() from None
+
+
+def reference_subsurface_map(word: Word) -> dict[SyllableId, MappedSubsurface]:
+    """The syllable-to-subsurface map keyed by id, each prefix checked
+    again through ``Word(...)`` and each id counted with ``positional_ids``."""
+    canonical = normalize(word)
+    syllables, graph = canonical.syllables, canonical.graph
+    ids = positional_ids((s.generator, s.exponent) for s in syllables)
+    return {
+        SyllableId(*sid): MappedSubsurface(Word(syllables[:i], graph), s.generator)
+        for i, (sid, s) in enumerate(zip(ids, syllables))
+    }
+
+
+def reference_make_certificate(word: Word, constants: Constants) -> Certificate:
+    """``make_certificate`` with its entries read off the dict of
+    ``reference_subsurface_map``."""
+    constants.validate(word.graph)
+    canonical = normalize(word)
+    total = _total(constants.k, sum(abs(s.exponent) for s in canonical.syllables))
+    entries = tuple(
+        CertificateEntry(sid, sub, constants.k * abs(sid.exponent))
+        for sid, sub in reference_subsurface_map(canonical).items()
+    )
+    rhs = f"({_fmt(total)} - {_fmt(constants.b)})/{_fmt(constants.a)}"
+    templates = (f"d_MM >= {rhs}", f"d_WP >= {rhs}", f"d_T >= {rhs}")
+    return Certificate(canonical, constants, entries, total, templates)
+
+
+def reference_certificate_json(certificate: Certificate) -> dict:
+    """``Certificate.to_json_dict`` with every prefix formatted on its own."""
+    return {
+        "sigma": reference_text(certificate.sigma),
+        "constants": certificate.constants.to_json_dict(),
+        "entries": [
+            {
+                "syllable": e.syllable.label(),
+                "prefix": reference_text(e.subsurface.prefix),
+                "base": e.subsurface.base_vertex,
+                "bound": e.bound,
+            }
+            for e in certificate.entries
+        ],
+        "total": certificate.total,
+        "templates": list(certificate.templates),
+    }
+
+
+def reference_classify(word: Word, realization: Realization) -> ClassificationReport:
+    """``classify`` with one ``fill`` per component and every component
+    word checked again through ``Word(...)``."""
+    if word.graph != realization.graph:
+        raise GraphMismatch("word and realization use different defining graphs")
+    canonical = normalize(word)
+    reduced, conjugator = cyclically_reduce(canonical)
+    support = sorted({s.generator for s in reduced.syllables}, key=word.graph.index.get)
+    r = len(support)
+    if r == 0:
+        return ClassificationReport(canonical, reduced, conjugator, 0, (), "identity", None)
+    components = tuple(
+        ComponentReport(
+            generators=part,
+            word=Word(tuple(s for s in reduced.syllables if s.generator in part), word.graph),
+            fills_ambient=fill(realization, part).fills_ambient,
+        )
+        for part in fill(realization, support).components
+    )
+    pseudo_anosov = len(components) == 1 and components[0].fills_ambient
+    return ClassificationReport(
+        canonical, reduced, conjugator, r, components,
+        "pseudo_anosov" if pseudo_anosov else "reducible",
+        Fraction(1, 2 * r + 1) if pseudo_anosov else None,
+    )

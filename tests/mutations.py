@@ -113,8 +113,8 @@ MUTATIONS = [
     Mutation(
         "syllable-occurrence",
         "syllables.py",
-        "counts[key] = counts.get(key, 0) + 1",
-        "counts[key] = 1",
+        "counts[key] = n = counts[key] + 1 if key in counts else 1",
+        "counts[key] = n = 1",
         ("tests/test_syllables.py::test_syllable_ids_positions",),
     ),
     # Constants: a hand-built pack is checked as numbers.
@@ -124,6 +124,21 @@ MUTATIONS = [
         "            _check_number(name, value)\n        if self.k < 20:",
         "            pass\n        if self.k < 20:",
         ("tests/test_subsurface_map.py::test_hand_built_constants_that_are_not_finite_numbers_are_typed",),
+    ),
+    # Certificates: the entries of the one walk, and sigma's tokens as prefixes.
+    Mutation(
+        "certificate-bound-abs",
+        "subsurface_map.py",
+        "k * abs(sid.exponent)",
+        "k * sid.exponent",
+        ("tests/test_one_walk.py::test_certificates_match_the_reference_on_pentagon_powers",),
+    ),
+    Mutation(
+        "certificate-prefix-tokens",
+        "subsurface_map.py",
+        '" ".join(tokens[:i])',
+        '" ".join(tokens[:i - 1])',
+        ("tests/test_one_walk.py::test_certificates_match_the_reference_on_pentagon_powers",),
     ),
     # The order-embedding check, fed corrupted heaps: each of its three tests,
     # the next occurrence the first test reads, and the best-i bound of the rows.
@@ -246,6 +261,17 @@ MUTATIONS = [
         "if q >= 0 and not below[q] & unplaced:",
         "if q >= 0:",
         ("tests/test_representatives.py::test_heap_walk_matches_swap_closure_on_random_words",),
+    ),
+    # classify: a single component reuses the support's fill, which may not fill.
+    Mutation(
+        "classify-single-component-fill",
+        "classification.py",
+        "ComponentReport(filled.components[0], reduced, filled.fills_ambient)",
+        "ComponentReport(filled.components[0], reduced, True)",
+        (
+            "tests/test_one_walk.py::"
+            "test_reports_match_the_reference_on_single_components_that_do_not_fill",
+        ),
     ),
     # verify: a power that is not minimal is reported, not ordered.
     Mutation(

@@ -388,3 +388,17 @@ def test_commands_normalize_as_often_as_the_library(
     code, _ = run_cli(capsys, command, "--graph", pentagon_path, "--word", "a c e b d")
     assert code == 0
     assert len(calls) == normal_forms
+
+
+def test_memory_error_is_an_error_json(capsys, monkeypatch, pentagon_path):
+    # A certificate's JSON grows as the square of the word; running out of
+    # memory ends in the error JSON and exit code 1, not a traceback.
+    import raagmcg.subsurface_map as subsurface_map
+
+    def out_of_memory(word, constants):
+        raise MemoryError()
+
+    monkeypatch.setattr(subsurface_map, "make_certificate", out_of_memory)
+    code, out = run_cli(capsys, "certify", "--graph", pentagon_path, "--word", "a c e b d")
+    assert code == 1
+    assert json.loads(out) == {"error": "MemoryError", "message": "", "details": {}}
