@@ -108,12 +108,9 @@ def classify(word: Word, realization: Realization) -> ClassificationReport:
     else:
         components = []
         for part in filled.components:
-            part_word = object.__new__(Word)  # the reduced word's checked syllables
-            object.__setattr__(
-                part_word, "syllables",
-                tuple([s for s in reduced.syllables if s.generator in part]),
+            part_word = Word._from_checked(
+                tuple([s for s in reduced.syllables if s.generator in part]), reduced.graph
             )
-            object.__setattr__(part_word, "graph", reduced.graph)
             components.append(
                 ComponentReport(part, part_word, fill(realization, part).fills_ambient)
             )

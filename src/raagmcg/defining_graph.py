@@ -17,7 +17,9 @@ from functools import cached_property, partial
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import DanglingEdge, DuplicateVertex, MalformedGraph, SelfLoop, UnknownVertex
+from .errors import (
+    DanglingEdge, DuplicateVertex, MalformedGraph, SelfLoop, UnknownVertex, decode_json,
+)
 
 
 def _unquotable(vertex: str) -> MalformedGraph:
@@ -68,17 +70,7 @@ class DefiningGraph:
 
     @classmethod
     def from_json(cls, text: str) -> "DefiningGraph":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as err:
-            raise MalformedGraph(
-                f"graph is not valid JSON: {err}", line=err.lineno, column=err.colno
-            ) from None
-        except ValueError as err:  # an integer of more digits than int() converts
-            raise MalformedGraph(f"graph JSON cannot be read: {err}") from None
-        except RecursionError:  # arrays or objects nested past the parser's stack
-            raise MalformedGraph("graph JSON is nested too deeply") from None
-        return cls.from_json_dict(data)
+        return cls.from_json_dict(decode_json(text, MalformedGraph, "graph"))
 
     def validate(self) -> None:
         """Re-check the construction invariants, raising on the first violation."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import sys
 
 
@@ -115,3 +116,21 @@ class IntegerTooLong(RaagError):
             f"the answer holds an integer of more than {limit} digits, "
             "more than Python converts to text", limit=limit,
         )
+
+
+def decode_json(text: str, error: type[RaagError], kind: str):
+    """``json.loads(text)``, raising ``error`` for each way it fails: text
+    that is not JSON (details ``line`` and ``column``), an integer of more
+    digits than ``int()`` converts, and arrays or objects nested past the
+    parser's stack.  ``kind`` ("graph", "realization") opens each message.
+    The one decoder of the graph and realization loaders."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise error(
+            f"{kind} is not valid JSON: {err}", line=err.lineno, column=err.colno
+        ) from None
+    except ValueError as err:  # an integer of more digits than int() converts
+        raise error(f"{kind} JSON cannot be read: {err}") from None
+    except RecursionError:
+        raise error(f"{kind} JSON is nested too deeply") from None

@@ -36,6 +36,7 @@ from .errors import (
     NestingDetected,
     UnknownCurve,
     UnknownVertex,
+    decode_json,
 )
 
 
@@ -99,8 +100,9 @@ class Realization:
         """Raises MalformedRealization, naming the key, unless ``data`` is
         an object with an object under "graph", a list of strings under
         "curves", a string under "ambient" and a list under "subsurfaces"
-        of objects with strings under "vertex" and "core" and a list of
-        strings under "intersects"."""
+        of objects with strings under "vertex" and "core", a list of
+        strings under "intersects" and, if the key is present, a string
+        under "label" (the default label of vertex v is ``X_v``)."""
         where = "realization JSON"
         _require_object(data, where)
         graph = DefiningGraph.from_json_dict(_field(data, "graph", dict, where))
@@ -111,9 +113,12 @@ class Realization:
             where = f"subsurface entry {n}"
             _require_object(entry, where, key="subsurfaces", index=n)
             vertex = _field(entry, "vertex", str, where, index=n)
+            label = f"X_{vertex}"
+            if "label" in entry:
+                label = _field(entry, "label", str, where, index=n)
             subs.append(
                 Subsurface(
-                    label=entry.get("label", f"X_{vertex}"),
+                    label=label,
                     vertex=vertex,
                     core=_field(entry, "core", str, where, index=n),
                     intersects=frozenset(_field(entry, "intersects", _STRINGS, where, index=n)),
@@ -123,17 +128,7 @@ class Realization:
 
     @classmethod
     def from_json(cls, text: str) -> "Realization":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as err:
-            raise MalformedRealization(
-                f"realization is not valid JSON: {err}", line=err.lineno, column=err.colno
-            ) from None
-        except ValueError as err:  # an integer of more digits than int() converts
-            raise MalformedRealization(f"realization JSON cannot be read: {err}") from None
-        except RecursionError:  # arrays or objects nested past the parser's stack
-            raise MalformedRealization("realization JSON is nested too deeply") from None
-        return cls.from_json_dict(data)
+        return cls.from_json_dict(decode_json(text, MalformedRealization, "realization"))
 
 
 _STRINGS = "a list of strings"
@@ -250,14 +245,13 @@ def fill(realization: Realization, indices: Iterable[str]) -> FillResult:
     """Fill data for the subsurfaces attached to ``indices``: one
     component per connected piece of the complement graph on the index
     set, filling the ambient surface iff every reference curve meets one
-    of the subsurfaces.  The subsurfaces are looked up in the order of
-    ``indices``, so a vertex without one is reported at its first
-    occurrence there."""
+    of the subsurfaces.  ``DefiningGraph.components`` raises UnknownVertex
+    for the first index that is not a vertex; then the subsurfaces are
+    looked up in the order of ``indices``, so a vertex without one is
+    reported at its first occurrence there."""
     index_list = list(indices)
     if not index_list:
         raise ValueError("indices must be nonempty")
-    for v in index_list:
-        realization.graph.require_vertex(v)
     components = realization.graph.complement().components(index_list)
     covered: set[str] = set()
     for v in dict.fromkeys(index_list):

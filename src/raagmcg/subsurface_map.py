@@ -92,9 +92,7 @@ class MappedSubsurface:
         if graph != other.prefix.graph:
             raise GraphMismatch("words live over different defining graphs")
         inverse = [Syllable(s.generator, -s.exponent) for s in reversed(self.prefix.syllables)]
-        difference = object.__new__(Word)
-        object.__setattr__(difference, "syllables", (*inverse, *other.prefix.syllables))
-        object.__setattr__(difference, "graph", graph)
+        difference = Word._from_checked((*inverse, *other.prefix.syllables), graph)
         return in_special_subgroup(difference, graph.star(self.base_vertex))
 
 

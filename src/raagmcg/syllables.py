@@ -341,11 +341,9 @@ def cyclically_reduce(word: Word) -> tuple[Word, Word]:
             current.remove(target)
             if not moved_first:
                 current.reorder()
-    reduced = object.__new__(Word)  # the canonical word's checked syllables: no __post_init__
-    object.__setattr__(reduced, "syllables", current.remaining())
-    object.__setattr__(reduced, "graph", current.graph)
-    object.__setattr__(reduced, "_canonical", True)  # the edits keep it canonical
-    return reduced, normalize(Word(tuple(factors), current.graph))
+    # The canonical word's checked syllables, kept canonical by the edits.
+    reduced = Word._from_checked(current.remaining(), current.graph, canonical=True)
+    return reduced, normalize(Word._from_checked(tuple(factors), current.graph))
 
 
 def is_cyclically_reduced(word: Word) -> bool:

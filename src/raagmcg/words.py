@@ -35,15 +35,7 @@ greedy phase costs O(k^2) unions of dependence tuples for k syllables.
 A linear pass, Kahn's algorithm on the heap keyed by vertex index,
 picks the same syllables.  It waits until the benchmark keeps a bounded
 record per operation: today it keeps every per-pass latency, so a
-faster normal form shows there as more memory.  Two prototypes (not in
-this tree), at seed 1 of the benchmark's ``random-long`` workload:
-
-  * Kahn's algorithm on the masks: ``ops_per_s`` 2,998 -> 8,436,
-    ``peak_rss_mb`` 21.57 -> 24.01 (+11.3%);
-  * the quadratic greedy pass with an int mask as the blocked set:
-    ``ops_per_s`` 3,190 -> 8,349, ``peak_rss_mb`` 21.72 -> 24.59 (+13.2%).
-
-Both are past the benchmark's 10% bound on ``peak_rss_mb``.
+faster normal form shows there as more memory.
 
 The first phase alone, the free reduction ``_minimal_pairs``, already
 gives a minimal word, and every minimal word of an element has the same
@@ -60,15 +52,21 @@ pair (syllable count, letter length); the greedy pass only permutes a
 fixed multiset.  Exponents are plain Python integers, so powers never
 overflow.
 
-The words ``normalize``, ``multiply``, ``invert`` and ``power`` return are
+Construction: ``Word(...)`` checks every generator against the graph;
+it builds the words over syllables that come from outside (callers,
+``word_from_pairs``, ``empty_word``).  ``Word._from_checked`` trusts its
+syllables, so it takes only syllables whose generators are checked
+against the same graph already: taken from a word over it, named from
+``graph.vertices``, or checked one by one as ``parse_word`` parses.  It
+builds the normal forms, prefixes, parsed words, concatenated powers,
+the results of ``apply_move``, the reduced word and conjugator of
+``cyclically_reduce``, the component words of ``classify`` and the
+difference word of ``MappedSubsurface.equivalent``.  Only
+``minimal_representatives`` builds its words inline (see there).  The
+words ``normalize``, ``multiply``, ``invert`` and ``power`` return are
 marked canonical (so is the reduced word of ``cyclically_reduce``), and
 ``normalize`` returns a marked word as it is; the mark is not a field,
-so equality, hashing and repr ignore it.  Those normal forms, the
-minimal representatives and ``Word.prefixes`` are built from syllables
-already checked against the graph, so they skip the check of
-``Word.__post_init__``, as do the reduced word of ``cyclically_reduce``,
-the component words of ``classify`` and the difference word of
-``MappedSubsurface.equivalent``; ``Word(...)`` keeps it.
+so equality, hashing and repr ignore it.
 """
 
 from __future__ import annotations
@@ -167,11 +165,19 @@ class Word:
         graph, so ``__post_init__`` does not check them again.  No prefix
         is marked canonical."""
         syllables, graph = self.syllables, self.graph
-        prefixes = [object.__new__(Word) for _ in syllables]
-        for i, prefix in enumerate(prefixes):
-            object.__setattr__(prefix, "syllables", syllables[:i])
-            object.__setattr__(prefix, "graph", graph)
-        return prefixes
+        return [Word._from_checked(syllables[:i], graph) for i in range(len(syllables))]
+
+    @classmethod
+    def _from_checked(cls, syllables: tuple, graph: DefiningGraph, canonical=False) -> "Word":
+        # Syllables whose generators are checked against ``graph`` already
+        # (see the module docstring): no __post_init__.  ``canonical``
+        # marks a normal form.
+        word = object.__new__(cls)
+        object.__setattr__(word, "syllables", syllables)
+        object.__setattr__(word, "graph", graph)
+        if canonical:
+            object.__setattr__(word, "_canonical", True)
+        return word
 
 
 def empty_word(graph: DefiningGraph) -> Word:
@@ -208,7 +214,7 @@ def parse_word(text: str, graph: DefiningGraph, keep_zero_exponents: bool = Fals
         if exp == 0 and not keep_zero_exponents:
             continue
         syllables.append(Syllable(name, exp))
-    return Word(tuple(syllables), graph)
+    return Word._from_checked(tuple(syllables), graph)
 
 
 # -- encoded arithmetic --------------------------------------------------
@@ -220,16 +226,6 @@ def parse_word(text: str, graph: DefiningGraph, keep_zero_exponents: bool = Fals
 def _encode(word: Word) -> tuple[Pair, ...]:
     idx = word.graph.index
     return tuple([(idx[s.generator], s.exponent) for s in word.syllables])
-
-
-def _decode(pairs: Iterable[Pair], graph: DefiningGraph) -> Word:
-    # Every generator comes from graph.vertices, so the word skips the
-    # check of __post_init__.
-    verts = graph.vertices
-    word = object.__new__(Word)
-    object.__setattr__(word, "syllables", tuple([Syllable(verts[g], e) for g, e in pairs]))
-    object.__setattr__(word, "graph", graph)
-    return word
 
 
 def _minimal_pairs(pairs: Iterable[Pair], comm) -> list[Pair]:
@@ -301,10 +297,11 @@ def _normalize_pairs(pairs: Iterable[Pair], graph: DefiningGraph) -> tuple[Pair,
 
 
 def _normal_form(pairs: Iterable[Pair], graph: DefiningGraph) -> Word:
-    """The canonical word of the encoded pairs, marked as canonical."""
-    word = _decode(_normalize_pairs(pairs, graph), graph)
-    object.__setattr__(word, "_canonical", True)
-    return word
+    """The canonical word of the encoded pairs, marked as canonical.  Its
+    generators are read off ``graph.vertices``."""
+    verts = graph.vertices
+    syllables = tuple([Syllable(verts[g], e) for g, e in _normalize_pairs(pairs, graph)])
+    return Word._from_checked(syllables, graph, canonical=True)
 
 
 def normalize(word: Word) -> Word:
@@ -345,7 +342,7 @@ def concatenated_power(u: Word, n: int) -> Word:
     Useful for feeding powers to the oracle before any rewriting."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return Word(u.syllables * n, u.graph)
+    return Word._from_checked(u.syllables * n, u.graph)
 
 
 def equal_elements(u: Word, v: Word) -> bool:
@@ -396,22 +393,24 @@ def apply_move(word: Word, move: int, position: int) -> Word:
     generator); move 3 swaps them (commuting generators).  The result is
     returned as-is, without further rewriting.
     """
-    k = len(word.syllables)
+    syllables, graph = word.syllables, word.graph
+    k = len(syllables)
     if move == 1:
         if not 1 <= position <= k:
             raise MoveNotApplicable("position out of range", position=position, reason="range")
-        s = word.syllables[position - 1]
+        s = syllables[position - 1]
         if s.exponent != 0:
             raise MoveNotApplicable(
                 f"syllable {s.generator}^{s.exponent} has nonzero exponent",
                 position=position, reason="nonzero exponent",
             )
-        return Word(word.syllables[: position - 1] + word.syllables[position:], word.graph)
+        return Word._from_checked(syllables[: position - 1] + syllables[position:], graph)
     if move not in (2, 3):
         raise MoveNotApplicable(f"unknown move {move}", position=position, reason="unknown move")
     if not 1 <= position <= k - 1:
         raise MoveNotApplicable("position out of range", position=position, reason="range")
-    s, t = word.syllables[position - 1], word.syllables[position]
+    s, t = syllables[position - 1], syllables[position]
+    head, tail = syllables[: position - 1], syllables[position + 1:]
     if move == 2:
         if s.generator != t.generator:
             raise MoveNotApplicable(
@@ -419,19 +418,13 @@ def apply_move(word: Word, move: int, position: int) -> Word:
                 position=position, reason="different generators",
             )
         merged = Syllable(s.generator, s.exponent + t.exponent)
-        return Word(
-            word.syllables[: position - 1] + (merged,) + word.syllables[position + 1:],
-            word.graph,
-        )
-    if not word.graph.commute(s.generator, t.generator):
+        return Word._from_checked(head + (merged,) + tail, graph)
+    if not graph.commute(s.generator, t.generator):
         raise MoveNotApplicable(
             f"{s.generator!r} and {t.generator!r} do not commute",
             position=position, reason="non-commuting pair",
         )
-    return Word(
-        word.syllables[: position - 1] + (t, s) + word.syllables[position + 1:],
-        word.graph,
-    )
+    return Word._from_checked(head + (t, s) + tail, graph)
 
 
 # -- the heap, minimal representatives and the oracle ----------------------
@@ -514,7 +507,9 @@ def minimal_representatives(word: Word, cap: int = DEFAULT_CAP) -> list[Word]:
             if count and count >= cap:
                 raise CapExceeded(f"more than {cap} minimal representatives", cap=cap)
             count += 1
-            rep = object.__new__(Word)  # the normal form's checked syllables: no __post_init__
+            # Word._from_checked inline: a call per representative raises the
+            # benchmark's commuting-blowup calls per operation by 9%.
+            rep = object.__new__(Word)
             object.__setattr__(rep, "syllables", tuple(map(syllables.__getitem__, path)))
             object.__setattr__(rep, "graph", graph)
             reps.append(rep)

@@ -181,6 +181,33 @@ MUTATIONS = [
         "unordered = prefix & ~below[j]",
         (EMBEDDING_TEST,),
     ),
+    # The canonical mark, written by Word._from_checked for normal forms and
+    # for the reduced word of cyclic reduction.
+    Mutation(
+        "normal-form-canonical-mark",
+        "words.py",
+        "Word._from_checked(syllables, graph, canonical=True)",
+        "Word._from_checked(syllables, graph, canonical=False)",
+        ("tests/test_canonical_mark.py::test_normal_forms_are_returned_as_they_are",),
+    ),
+    Mutation(
+        "reduced-canonical-mark",
+        "syllables.py",
+        "canonical=True",
+        "canonical=False",
+        ("tests/test_checked_words.py::test_words_over_checked_syllables_equal_checked_words",),
+    ),
+    # The one decoder of graph and realization JSON.
+    Mutation(
+        "json-decoder-line",
+        "errors.py",
+        "line=err.lineno",
+        "line=err.colno",
+        (
+            "tests/test_realization.py::test_loaders_map_json_failures_alike[syntax-graph]",
+            "tests/test_realization.py::test_loaders_map_json_failures_alike[syntax-realization]",
+        ),
+    ),
     # The heap and the dependence relation behind it.
     Mutation(
         "heap-own-bit",

@@ -6,10 +6,11 @@ end in exit 0, in exit 1 with an error JSON on stdout that names a
 may escape.  Fixed cases after the seeded corpus cover float overflow in
 certificates, integers of more digits than ``int`` converts, files
 that cannot be opened, JSON nested past the parser's stack, a
-realization that declares a curve twice and answers holding an integer
-of more digits than Python converts to text.  A second seeded corpus
-replaces one value of a valid graph or realization file with a nested
-or oversized JSON shape."""
+realization that declares a curve twice, subsurface labels that are not
+strings and answers holding an integer of more digits than Python
+converts to text.  A second seeded corpus replaces one value of a valid
+graph or realization file with a nested or oversized JSON shape.  Both
+corpora are generators, which ``tests/differential.py`` also runs."""
 
 import contextlib
 import copy
@@ -248,6 +249,34 @@ def test_cli_fixed_cases_nested_json_and_duplicate_curves(tmp_path):
         assert (data["error"], data["details"]) == (error, details), argv
 
 
+def test_cli_fixed_cases_labels_that_are_not_strings(tmp_path):
+    # A label reaches the error JSON of an undeclared curve, so NaN would
+    # print as non-standard JSON; every label that is not a string is typed.
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({"vertices": ["a", "b"], "edges": []}))
+    code, _, text = _run(["realize", "--graph", str(graph)])
+    assert code == 0, text
+    malformed = ("MalformedRealization", {"key": "label", "index": 0})
+    cases = []
+    for label in (float("nan"), float("inf"), ["x"]):
+        data = json.loads(text)
+        data["subsurfaces"][0]["label"] = label
+        data["subsurfaces"][0]["intersects"].append("delta")
+        path = tmp_path / f"label{len(cases)}.json"
+        path.write_text(json.dumps(data))
+        on_graph = ["--graph", str(graph), "--realization", str(path)]
+        cases += [
+            ["realize"] + on_graph,
+            ["classify"] + on_graph + ["--word", "a b"],
+            ["verify"] + on_graph + ["--word", "a b"],
+        ]
+    for argv in cases:
+        code, usage, out = _run(argv)
+        assert (code, usage) == (1, False), argv
+        data = _strict_json(out)
+        assert (data["error"], data["details"]) == malformed, argv
+
+
 def test_cli_fixed_cases_integers_too_long_to_print(tmp_path):
     # Valid inputs whose answers hold an integer one digit past the limit,
     # and constants whose error message would print such an integer.
@@ -310,15 +339,14 @@ def _slots(value):
         yield from _slots(child)
 
 
-def test_cli_structural_fuzz_names_raag_errors(tmp_path):
-    rng = random.Random(STRUCTURE_SEED)
+def _structural_cases(rng, tmp_path):
+    # (case, argv) for three commands per mutated file.
     graph_payload = {"vertices": ["a", "b", "c"], "edges": [["a", "b"]]}
     valid_graph = tmp_path / "valid.json"
     valid_graph.write_text(json.dumps(graph_payload))
     code, _, text = _run(["realize", "--graph", str(valid_graph)])
     assert code == 0, text
     realization_payload = json.loads(text)
-    escapes = []
     for case in range(STRUCTURE_CASES):
         on_realization = rng.random() < 0.5
         data = copy.deepcopy(realization_payload if on_realization else graph_payload)
@@ -332,12 +360,18 @@ def test_cli_structural_fuzz_names_raag_errors(tmp_path):
         for argv in (["normalize", "--graph", str(graph)] + word,
                      ["classify", "--graph", str(graph)] + word + extra,
                      ["realize", "--graph", str(graph)] + extra):
-            try:
-                code, usage, out = _run(argv)
-            except Exception as err:  # an escape: record it and go on
-                escapes.append((case, argv[0], repr(err)[:200]))
-                continue
-            assert code in (0, 1, 2), (case, argv[0])
-            if code == 1:
-                assert _strict_json(out)["error"] in RAAG_ERRORS, (case, argv[0])
+            yield case, argv
+
+
+def test_cli_structural_fuzz_names_raag_errors(tmp_path):
+    escapes = []
+    for case, argv in _structural_cases(random.Random(STRUCTURE_SEED), tmp_path):
+        try:
+            code, usage, out = _run(argv)
+        except Exception as err:  # an escape: record it and go on
+            escapes.append((case, argv[0], repr(err)[:200]))
+            continue
+        assert code in (0, 1, 2), (case, argv[0])
+        if code == 1:
+            assert _strict_json(out)["error"] in RAAG_ERRORS, (case, argv[0])
     assert escapes == []

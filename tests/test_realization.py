@@ -12,6 +12,8 @@ from raagmcg import (
     DisjointnessMismatch,
     DuplicateCurve,
     DuplicateVertex,
+    MalformedGraph,
+    MalformedRealization,
     NestingDetected,
     Realization,
     Subsurface,
@@ -181,10 +183,72 @@ def test_fill_errors(pentagon_realization):
         fill(pentagon_realization, ["z"])
 
 
+def test_fill_reports_the_unknown_vertex_then_the_missing_subsurface(pentagon_realization):
+    partial = _without(pentagon_realization, "e")
+    cases = [
+        (["e", "a", "z", "y"], "unknown vertex 'z'", {"label": "z"}),
+        (["a", "e", "a"], "no subsurface declared for vertex 'e'", {"label": "e"}),
+    ]
+    for indices, message, details in cases:
+        with pytest.raises(UnknownVertex) as err:
+            fill(partial, indices)
+        assert (err.value.message, err.value.details) == (message, details)
+
+
+def test_fill_checks_each_vertex_at_most_twice(monkeypatch, pentagon, pentagon_realization):
+    checked = []
+    require_vertex = DefiningGraph.require_vertex
+
+    def counting(graph, v):
+        checked.append(v)
+        return require_vertex(graph, v)
+
+    monkeypatch.setattr(DefiningGraph, "require_vertex", counting)
+    fill(pentagon_realization, pentagon.vertices)
+    assert {v: checked.count(v) for v in pentagon.vertices} == dict.fromkeys(pentagon.vertices, 2)
+
+
 def test_realization_json_round_trip(pentagon_realization):
     text = pentagon_realization.to_json()
     again = Realization.from_json(text)
     assert again == pentagon_realization
+
+
+def _digit_limit_message():
+    try:
+        int("1" * 5000)
+    except ValueError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("load, error, kind", [
+    (DefiningGraph.from_json, MalformedGraph, "graph"),
+    (Realization.from_json, MalformedRealization, "realization"),
+], ids=["graph", "realization"])
+@pytest.mark.parametrize("text, message, details", [
+    ('{\n  "vertices": ]}', "is not valid JSON: Expecting value: line 2 column 15 (char 16)",
+     {"line": 2, "column": 15}),
+    ("[" + "1" * 5000 + "]", "JSON cannot be read: " + _digit_limit_message(), {}),
+    ("[" * 100_000 + "]" * 100_000, "JSON is nested too deeply", {}),
+], ids=["syntax", "digits", "nesting"])
+def test_loaders_map_json_failures_alike(load, error, kind, text, message, details):
+    with pytest.raises(error) as err:
+        load(text)
+    assert (err.value.message, err.value.details) == (f"{kind} {message}", details)
+
+
+@pytest.mark.parametrize(
+    "label", [5, None, ["x"], float("nan")], ids=["int", "null", "list", "nan"]
+)
+def test_a_label_that_is_not_a_string_is_malformed(pentagon_realization, label):
+    data = pentagon_realization.to_json_dict()
+    data["subsurfaces"][1]["label"] = label
+    with pytest.raises(MalformedRealization) as err:
+        Realization.from_json_dict(data)
+    assert err.value.message == "subsurface entry 1 needs a string under 'label'"
+    assert err.value.details == {"key": "label", "index": 1}
+    data["subsurfaces"][1]["label"] = "Y"
+    assert Realization.from_json_dict(data).subsurfaces[1].label == "Y"
 
 
 def _without(realization, vertex):
