@@ -118,19 +118,40 @@ class IntegerTooLong(RaagError):
         )
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if abs(value) > sys.float_info.max:  # overflowed to an infinity
+        raise ValueError(f"{text} is out of floating-point range")
+    return value
+
+
+# Standard JSON only: NaN and Infinity, which json.loads accepts, and
+# numbers that overflow a float never reach a graph or a realization, so
+# every float an error's details echo is finite.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_float=_finite_float)
+
+
 def decode_json(text: str, error: type[RaagError], kind: str):
-    """``json.loads(text)``, raising ``error`` for each way it fails: text
-    that is not JSON (details ``line`` and ``column``), an integer of more
-    digits than ``int()`` converts, and arrays or objects nested past the
-    parser's stack.  ``kind`` ("graph", "realization") opens each message.
-    The one decoder of the graph and realization loaders."""
+    """``json.loads(text)`` for standard JSON, raising ``error`` for each
+    way it fails: text that is not JSON (details ``line`` and
+    ``column``); ``NaN``, ``Infinity``, a number out of floating-point
+    range or an integer of more digits than ``int()`` converts; and
+    arrays or objects nested past the parser's stack.  ``kind`` ("graph",
+    "realization") opens each message.  The one decoder of the graph and
+    realization loaders."""
     try:
-        return json.loads(text)
+        if text.startswith("\ufeff"):
+            json.loads(text)  # raises: json.loads names a byte-order mark before decoding
+        return _DECODER.decode(text)
     except json.JSONDecodeError as err:
         raise error(
             f"{kind} is not valid JSON: {err}", line=err.lineno, column=err.colno
         ) from None
-    except ValueError as err:  # an integer of more digits than int() converts
+    except ValueError as err:  # a number the parse hooks or int() reject
         raise error(f"{kind} JSON cannot be read: {err}") from None
     except RecursionError:
         raise error(f"{kind} JSON is nested too deeply") from None

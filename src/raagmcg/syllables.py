@@ -164,6 +164,21 @@ def power_shift_map(word: Word, m: int, n: int) -> dict[SyllableId, SyllableId]:
     conditions keep powers of minimal words minimal, so the blocks stay
     intact.  Single-generator words are rejected: their powers merge
     into one syllable and there is no block structure to shift.
+
+    Why no block collapses: two syllables of one generator g in blocks
+    that are not adjacent have a whole copy of w between them, and w
+    holds a generator that does not commute with g, since the support is
+    connected in the complement graph.  So a syllable of g can merge
+    only across the cut of w·w, between the last syllable of g in the
+    first copy, with only syllables commuting with g after it, and the
+    first in the second copy, with only such syllables before it: one
+    syllable of g maximal in the heap of w and one minimal.  In a
+    cyclically reduced word they are a single syllable, or conjugating
+    one around the word would merge it into the other.  That syllable is
+    then comparable to nothing, so g commutes with the rest of the
+    support, and g alone is a component of the support in the complement
+    graph, which the precondition excludes.  So w^m has m·len(w)
+    syllables, and each block is a copy of w.
     """
     if not 1 <= m < n:
         raise ValueError("need 1 <= m < n")
@@ -183,8 +198,6 @@ def power_shift_map(word: Word, m: int, n: int) -> dict[SyllableId, SyllableId]:
         )
     last = {(sid.generator, sid.exponent): sid for sid in syllable_ids(w)}
     base = power(w, m)
-    if len(base.syllables) != m * len(w.syllables):
-        raise ShiftMapUndefined("power of the word collapsed", m=m)
     shift: dict[SyllableId, SyllableId] = {}
     for sid in syllable_ids(base):
         step = last[(sid.generator, sid.exponent)].occurrence

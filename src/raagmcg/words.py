@@ -134,9 +134,6 @@ class Word:
     def __len__(self) -> int:
         return len(self.syllables)
 
-    def __mul__(self, other: "Word") -> "Word":
-        return multiply(self, other)
-
     @property
     def is_empty(self) -> bool:
         return not self.syllables
@@ -146,18 +143,6 @@ class Word:
 
     def support(self) -> frozenset[str]:
         return frozenset([s.generator for s in self.syllables])
-
-    def normalize(self) -> "Word":
-        return normalize(self)
-
-    def is_minimal(self) -> bool:
-        return is_minimal(self)
-
-    def inverse(self) -> "Word":
-        return invert(self)
-
-    def power(self, n: int) -> "Word":
-        return power(self, n)
 
     def prefixes(self) -> list["Word"]:
         """The words on the first i syllables, for i = 0, ..., len(self) - 1.

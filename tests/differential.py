@@ -54,7 +54,7 @@ import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
-HASH_SEEDS = ("0", "1")
+HASH_SEEDS = ("0", "1", "2")
 SHOWN = 5  # differing cases printed per corpus
 KEPT = 4000  # characters of a record the child reports, after its hash
 WINDOW = 160  # characters of a record printed, from just before the first difference

@@ -125,6 +125,13 @@ MUTATIONS = [
         "            pass\n        if self.k < 20:",
         ("tests/test_subsurface_map.py::test_hand_built_constants_that_are_not_finite_numbers_are_typed",),
     ),
+    Mutation(
+        "constants-d-sign",
+        "subsurface_map.py",
+        "if self.d < 0:",
+        "if self.d < -1:",
+        ("tests/test_subsurface_map.py::test_constants_reject_bad_shape",),
+    ),
     # Certificates: the entries of the one walk, and sigma's tokens as prefixes.
     Mutation(
         "certificate-bound-abs",
@@ -208,7 +215,27 @@ MUTATIONS = [
             "tests/test_realization.py::test_loaders_map_json_failures_alike[syntax-realization]",
         ),
     ),
-    # The heap and the dependence relation behind it.
+    Mutation(
+        "json-decoder-constants",
+        "errors.py",
+        "json.JSONDecoder(parse_constant=_reject_constant, parse_float=_finite_float)",
+        "json.JSONDecoder(parse_float=_finite_float)",
+        (
+            "tests/test_realization.py::test_loaders_map_json_failures_alike[nan-graph]",
+            "tests/test_cli_fuzz.py::test_cli_fixed_cases_numbers_outside_standard_json",
+        ),
+    ),
+    # The heap and the dependence relation behind it; a heap that ORs over
+    # every earlier syllable is still right, and only its guard sees it.
+    Mutation(
+        "heap-quadratic",
+        "words.py",
+        "        for h in dependence[g]:\n            mask |= closed[h]\n",
+        "        for i in range(j):\n"
+        "            if index[word.syllables[i].generator] in dependence[g]:\n"
+        "                mask |= below[i] | 1 << i\n",
+        ("tests/test_complexity.py::test_layer_is_linear_in_line_events[heap_masks]",),
+    ),
     Mutation(
         "heap-own-bit",
         "words.py",
@@ -235,6 +262,21 @@ MUTATIONS = [
         "                if s == 0:\n                    del out[j]",
         "                if False:\n                    del out[j]",
         ("tests/test_words.py::test_multiply_cancels",),
+    ),
+    # The literal moves: move 1's range, and n >= 0 for a concatenated power.
+    Mutation(
+        "move-one-range",
+        "words.py",
+        "if not 1 <= position <= k:",
+        "if False:",
+        ("tests/test_words.py::test_move_one_removes_zero_exponent",),
+    ),
+    Mutation(
+        "concatenated-power-sign",
+        "words.py",
+        "    if n < 0:\n        raise ValueError",
+        "    if n < -1:\n        raise ValueError",
+        ("tests/test_words.py::test_concatenated_power_is_unreduced_and_needs_nonnegative_n",),
     ),
     # Subgroup and star-coset tests: the free reduction of the word, and the
     # inverse of the first prefix.
@@ -307,6 +349,14 @@ MUTATIONS = [
         "minimal = {n: is_minimal(power) for n, power in concatenations.items()}",
         "minimal = {n: True for n in concatenations}",
         ("tests/test_classification.py::test_verify_reports_unordered_or_collapsed_powers_as_failures",),
+    ),
+    # The CLI: an answer past the int-to-str digit limit is IntegerTooLong.
+    Mutation(
+        "emit-json-digit-limit",
+        "cli.py",
+        "    except ValueError:\n        raise IntegerTooLong() from None",
+        "    except OverflowError:\n        raise IntegerTooLong() from None",
+        ("tests/test_cli_fuzz.py::test_cli_fixed_cases_integers_too_long_to_print",),
     ),
     # The CLI: a one-shot parser prints the full parser's usage line.
     Mutation(

@@ -38,6 +38,10 @@ def test_min_enum(capsys, pentagon_path):
     code, out = run_cli(capsys, "min-enum", "--graph", pentagon_path, "--word", "a b")
     assert code == 0
     assert json.loads(out) == {"word": "a b", "count": 2, "members": ["a b", "b a"]}
+    code, out = run_cli(
+        capsys, "min-enum", "--graph", pentagon_path, "--word", "a b", "--format", "text"
+    )
+    assert (code, out) == (0, "a b\nb a\n")
 
 
 def test_order_dot(capsys, pentagon_path):

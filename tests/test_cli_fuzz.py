@@ -7,9 +7,10 @@ may escape.  Fixed cases after the seeded corpus cover float overflow in
 certificates, integers of more digits than ``int`` converts, files
 that cannot be opened, JSON nested past the parser's stack, a
 realization that declares a curve twice, subsurface labels that are not
-strings and answers holding an integer of more digits than Python
-converts to text.  A second seeded corpus replaces one value of a valid
-graph or realization file with a nested or oversized JSON shape.  Both
+strings, NaN, Infinity and float overflow in JSON files, and answers
+holding an integer of more digits than Python converts to text.  A
+second seeded corpus replaces one value of a valid graph or realization
+file with a nested or oversized JSON shape.  Both
 corpora are generators, which ``tests/differential.py`` also runs."""
 
 import contextlib
@@ -256,9 +257,12 @@ def test_cli_fixed_cases_labels_that_are_not_strings(tmp_path):
     graph.write_text(json.dumps({"vertices": ["a", "b"], "edges": []}))
     code, _, text = _run(["realize", "--graph", str(graph)])
     assert code == 0, text
+    # NaN and Infinity are not standard JSON, so they stop at the decoder.
+    unreadable = ("MalformedRealization", {})
     malformed = ("MalformedRealization", {"key": "label", "index": 0})
     cases = []
-    for label in (float("nan"), float("inf"), ["x"]):
+    for label, expected in ((float("nan"), unreadable), (float("inf"), unreadable),
+                            (["x"], malformed)):
         data = json.loads(text)
         data["subsurfaces"][0]["label"] = label
         data["subsurfaces"][0]["intersects"].append("delta")
@@ -266,15 +270,43 @@ def test_cli_fixed_cases_labels_that_are_not_strings(tmp_path):
         path.write_text(json.dumps(data))
         on_graph = ["--graph", str(graph), "--realization", str(path)]
         cases += [
-            ["realize"] + on_graph,
-            ["classify"] + on_graph + ["--word", "a b"],
-            ["verify"] + on_graph + ["--word", "a b"],
+            (["realize"] + on_graph, expected),
+            (["classify"] + on_graph + ["--word", "a b"], expected),
+            (["verify"] + on_graph + ["--word", "a b"], expected),
         ]
-    for argv in cases:
+    for argv, expected in cases:
         code, usage, out = _run(argv)
         assert (code, usage) == (1, False), argv
         data = _strict_json(out)
-        assert (data["error"], data["details"]) == malformed, argv
+        assert (data["error"], data["details"]) == expected, argv
+
+
+def test_cli_fixed_cases_numbers_outside_standard_json(tmp_path):
+    # NaN, Infinity and a number that overflows a float, in a graph file or
+    # in a realization's embedded graph: an error JSON that echoed one of
+    # them would not be standard JSON, so the decoder rejects them.
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({"vertices": ["a", "b"], "edges": []}))
+    code, _, text = _run(["realize", "--graph", str(graph)])
+    assert code == 0, text
+    realization = json.dumps(dict(json.loads(text), graph="GRAPH"))
+    texts = ['{"vertices": [NaN], "edges": []}',
+             '{"vertices": ["a", "b"], "edges": [["a", 1e400]]}',
+             '{"vertices": ["a", -Infinity], "edges": []}']
+    cases = []
+    for i, graph_text in enumerate(texts):
+        path = tmp_path / f"graph{i}.json"
+        path.write_text(graph_text)
+        cases.append((["normalize", "--graph", str(path), "--word", "a"], "MalformedGraph"))
+        embedded = tmp_path / f"realization{i}.json"
+        embedded.write_text(realization.replace('"GRAPH"', graph_text))
+        cases.append((["classify", "--graph", str(graph), "--word", "a",
+                       "--realization", str(embedded)], "MalformedRealization"))
+    for argv, error in cases:
+        code, usage, out = _run(argv)
+        assert (code, usage) == (1, False), argv
+        data = _strict_json(out)
+        assert (data["error"], data["details"]) == (error, {}), argv
 
 
 def test_cli_fixed_cases_integers_too_long_to_print(tmp_path):
@@ -292,6 +324,10 @@ def test_cli_fixed_cases_integers_too_long_to_print(tmp_path):
     cases += [
         (certify + ["1" + "0" * (limit - 1)], too_long),
         (certify + ["9" * limit, "--k", "100"], ("InvalidConstants", {"field": "K"})),
+        # The empty word's total is 0, so only K and C, one digit past the
+        # limit, stop the JSON output itself.
+        (["certify", "--graph", str(graph), "--word", "", "--k0", "9" * limit,
+          "--d", "9" * limit], too_long),
     ]
     for argv, (error, details) in cases:
         code, usage, out = _run(argv)

@@ -1,0 +1,90 @@
+"""Complexity guards: traced line events of each linear layer at about 240
+and about 940 canonical syllables.
+
+A line event count (``sys.settrace``) is deterministic for a given Python
+version, and its ratio between two sizes tells linear work from
+quadratic: each layer here reads about ×4 for ×4 syllables, and one made
+quadratic reads about ×16.  A guard fails above ×6, which leaves room on
+both sides and holds on every Python version, whose counts differ.
+
+The words are random syllables over the 40-vertex graph on which half of
+all vertex pairs are edges (the ``random-long`` graph of seed 1), with
+exponents ±1 and ±2.  Each input is built before the traced call, so a
+quadratic normal form does not hide inside a linear layer's count.
+``normalize`` itself is still quadratic and has no guard here.
+"""
+
+import random
+import sys
+
+import pytest
+
+from raagmcg import (
+    DefiningGraph, check_order_embedding, default_constants, in_special_subgroup,
+    make_certificate, normalize, syllable_order, syllable_subsurface_map, word_from_pairs,
+)
+from raagmcg.words import heap_masks
+
+SIZES = (250, 1000)  # syllables in; 239 and 948 canonical syllables out
+MAX_RATIO = 6
+
+
+def _graph():
+    rng = random.Random("graph-1")
+    names = [f"v{i}" for i in range(40)]
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    return DefiningGraph.from_data(names, sorted(rng.sample(pairs, len(pairs) // 2)))
+
+
+def _canonical(graph, k):
+    rng = random.Random(11)
+    pairs = [(rng.choice(graph.vertices), rng.choice((-2, -1, 1, 2))) for _ in range(k)]
+    return normalize(word_from_pairs(graph, pairs))
+
+
+def line_events(call) -> int:
+    """The line events of every frame that ``call()`` runs.  The tracer
+    that was set before, such as a coverage run's, is set again after."""
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+# Each layer maps a canonical word to the call whose line events count;
+# what the call needs besides the word is built here, untraced.
+LAYERS = {
+    "heap_masks": lambda word: lambda: heap_masks(word),
+    "covering_pairs": lambda word: syllable_order(word).covering_pairs,
+    "check_order_embedding": lambda word: lambda: check_order_embedding(word),
+    "syllable_subsurface_map": lambda word: lambda: syllable_subsurface_map(word),
+    "Certificate.to_json_dict":
+        lambda word: make_certificate(word, default_constants(word.graph)).to_json_dict,
+    # A canonical word reduces no further, and every generator is allowed,
+    # so the whole free reduction is read.
+    "in_special_subgroup":
+        lambda word: lambda: in_special_subgroup(word, word.graph.vertices),
+}
+
+
+@pytest.fixture(scope="module")
+def words():
+    graph = _graph()
+    return [_canonical(graph, k) for k in SIZES]
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_layer_is_linear_in_line_events(words, layer):
+    small, large = (line_events(LAYERS[layer](word)) for word in words)
+    assert large <= MAX_RATIO * small, (layer, small, large, large / small)

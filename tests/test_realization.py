@@ -230,7 +230,12 @@ def _digit_limit_message():
      {"line": 2, "column": 15}),
     ("[" + "1" * 5000 + "]", "JSON cannot be read: " + _digit_limit_message(), {}),
     ("[" * 100_000 + "]" * 100_000, "JSON is nested too deeply", {}),
-], ids=["syntax", "digits", "nesting"])
+    ("[NaN]", "JSON cannot be read: NaN is not a JSON number", {}),
+    ("[1, -Infinity]", "JSON cannot be read: -Infinity is not a JSON number", {}),
+    ("[-1e400]", "JSON cannot be read: -1e400 is out of floating-point range", {}),
+    ("\ufeff[]", "is not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+     "line 1 column 1 (char 0)", {"line": 1, "column": 1}),
+], ids=["syntax", "digits", "nesting", "nan", "infinity", "overflow", "bom"])
 def test_loaders_map_json_failures_alike(load, error, kind, text, message, details):
     with pytest.raises(error) as err:
         load(text)

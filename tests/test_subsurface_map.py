@@ -203,6 +203,9 @@ def test_constants_reject_bad_shape(pentagon):
         Constants.create(pentagon, b=-1)
     with pytest.raises(InvalidConstants):
         Constants.create(pentagon, k0=0, d=6)
+    with pytest.raises(InvalidConstants, match="D must be nonnegative") as err:
+        Constants.create(pentagon, k0=100, d=-1)  # K = 118 passes the checks before D's
+    assert err.value.details == {"field": "D"}
 
 
 def test_hand_built_constants_out_of_float_range_are_typed(pentagon):

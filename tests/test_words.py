@@ -9,6 +9,7 @@ from raagmcg import (
     Syllable,
     Word,
     apply_move,
+    concatenated_power,
     empty_word,
     equal_elements,
     in_special_subgroup,
@@ -87,6 +88,26 @@ def test_move_one_removes_zero_exponent(pentagon):
     assert str(apply_move(word, 1, 1)) == "b"
     with pytest.raises(MoveNotApplicable):
         apply_move(w("a b", pentagon), 1, 1)
+    for position in (0, 3):
+        with pytest.raises(MoveNotApplicable) as err:
+            apply_move(word, 1, position)
+        assert err.value.details == {"position": position, "reason": "range"}
+
+
+@pytest.mark.parametrize("move", [0, 4])
+def test_unknown_move_is_not_applicable(pentagon, move):
+    with pytest.raises(MoveNotApplicable) as err:
+        apply_move(w("a b", pentagon), move, 1)
+    assert err.value.message == f"unknown move {move}"
+    assert err.value.details == {"position": 1, "reason": "unknown move"}
+
+
+def test_concatenated_power_is_unreduced_and_needs_nonnegative_n(pentagon):
+    word = w("a b a^-1", pentagon)
+    assert str(concatenated_power(word, 2)) == "a b a^-1 a b a^-1"
+    assert concatenated_power(word, 0).is_empty
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        concatenated_power(word, -1)
 
 
 def test_move_two_can_create_zero_exponent(pentagon):
