@@ -175,19 +175,19 @@ def verify_power_properties(
     ``cap`` bounds nothing: no check here enumerates representatives.
 
     Every power is read off the n-fold concatenation of the canonical
-    word, and only the word itself is normalized.  A concatenation that
-    ``is_minimal`` accepts is a minimal representative of w^n, so its
-    ``heap_masks`` are the syllable order of w^n.  Syllables of one
-    generator never pass each other, so position b·k + i of it, k the
-    syllable count of w, is the copy of syllable i in block b + 1, the
-    one ``power_shift_map`` sends syllable i to.  So syllable i precedes
-    its shifted copy when bit i of ``square[k + i]`` is set, and precedes
-    the last block's copy of syllable j when bit i of ``high[r·k + j]``
-    is; the labels are the ``syllable_ids`` of the word.  A
-    concatenation that collapses has another heap: its dependent check
-    fails, with every syllable or pair reported missing.  That cannot
-    happen under the classifier's lemma, and the exhaustive oracle runs
-    on every checked power before any order is read.
+    word, and only the word itself is normalized.  Under the
+    preconditions that concatenation is a minimal word of w^n, its blocks
+    copies of w (``power_shift_map`` gives the argument), so its
+    ``heap_masks`` are the syllable order of w^n, and position b·k + i,
+    k the syllable count of w, holds the copy of syllable i in block
+    b + 1, the one ``power_shift_map`` sends syllable i to.  So syllable
+    i precedes its shifted copy when bit i of ``square[k + i]`` is set,
+    and precedes the last block's copy of syllable j when bit i of
+    ``high[r·k + j]`` is; the labels are the ``syllable_ids`` of the
+    word.  The exhaustive oracle still checks every power before any
+    order is read; a concatenation that collapsed would have another
+    heap, and its dependent check would fail with every syllable or pair
+    reported missing.
     """
     canonical = normalize(word)
     if not is_cyclically_reduced(canonical):

@@ -329,14 +329,20 @@ class Constants:
             c = 2 * k
         if tau is None:
             tau = {v: c for v in graph.vertices}
-        constants = cls(k0=k0, d=d, k=k, c=c, a=a, b=b, tau=dict(tau))
+        try:
+            tau = dict(tau)
+        except (TypeError, ValueError):  # not a mapping, nor a sequence of pairs
+            raise InvalidConstants("tau must be a mapping", field="tau") from None
+        constants = cls(k0=k0, d=d, k=k, c=c, a=a, b=b, tau=tau)
         constants.validate(graph)
         return constants
 
     def validate(self, graph: DefiningGraph) -> None:
         # A pack built by create has passed these already; a hand-built one
         # has not, and _k_sum and the comparisons below need numbers.
-        for name, value in (("K0", self.k0), ("D", self.d), ("A", self.a), ("B", self.b)):
+        for name, value in (
+            ("K0", self.k0), ("D", self.d), ("A", self.a), ("B", self.b), ("K", self.k)
+        ):
             _check_number(name, value)
         if self.k < 20:
             raise _invalid("K", "K >= 20 violated", "K >= 20 violated (K = {})", self.k)
@@ -356,6 +362,9 @@ class Constants:
             raise InvalidConstants("A must be at least 1", field="A")
         if self.b < 0:
             raise InvalidConstants("B must be nonnegative", field="B")
+        # dict first: the Mapping ABC hook costs two more calls.
+        if not isinstance(self.tau, dict) and not isinstance(self.tau, Mapping):
+            raise InvalidConstants("tau must be a mapping", field="tau")
         for v in graph.vertices:
             if v not in self.tau:
                 raise InvalidConstants(f"tau undefined for vertex {v!r}", field="tau")

@@ -2,7 +2,7 @@
 maps between syllables of powers, and cyclic (conjugacy-minimal)
 reduction.
 
-All of it comes from the heap of the canonical word: i lies below j when
+All of it comes from the heap of a minimal word: i lies below j when
 a chain of syllables with equal or non-commuting generators leads from i
 up to j (Cartier-Foata 1969; Viennot, "Heaps of pieces", 1986).  The
 minimal words are its linear extensions, in which equal generators never
@@ -29,7 +29,9 @@ and no normal form is computed twice.  ``heap_masks`` takes a minimal
 word, canonical or not, and ``_find_reduction`` the heap of a canonical
 one, which cyclic reduction builds once and edits across its rounds: a
 round that changes the canonical order reads the new one off the masks,
-so a reduction normalizes only the word and the conjugator.
+so a reduction normalizes only the word and the conjugator.  A shift map
+reads the canonical order of w^m off the heap of the concatenation of m
+copies of w, which is minimal, so only w is normalized.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import IntegerTooLong, NotCyclicallyReduced, ShiftMapUndefined
-from .words import Syllable, Word, heap_masks, normalize, power
+from .words import Syllable, Word, concatenated_power, heap_masks, normalize
 
 
 @dataclass(frozen=True, order=True)
@@ -179,6 +181,14 @@ def power_shift_map(word: Word, m: int, n: int) -> dict[SyllableId, SyllableId]:
     support, and g alone is a component of the support in the complement
     graph, which the precondition excludes.  So w^m has m·len(w)
     syllables, and each block is a copy of w.
+
+    The concatenation of m copies of w is therefore a minimal word of
+    w^m, and no normal form of w^m is computed: ``heap_masks`` of a
+    minimal word is its heap, and on that heap Kahn's algorithm keyed by
+    vertex index (``_LiveHeap.reorder``) lists the canonical order, as
+    ``cyclically_reduce`` argues.  A syllable's id does not depend on the
+    minimal word it is read from, so the keys, the values and the order
+    of the keys are those read off the normal form of w^m.
     """
     if not 1 <= m < n:
         raise ValueError("need 1 <= m < n")
@@ -197,9 +207,10 @@ def power_shift_map(word: Word, m: int, n: int) -> dict[SyllableId, SyllableId]:
             support=support,
         )
     last = {(sid.generator, sid.exponent): sid for sid in syllable_ids(w)}
-    base = power(w, m)
+    base = _LiveHeap(concatenated_power(w, m))
+    base.reorder()
     shift: dict[SyllableId, SyllableId] = {}
-    for sid in syllable_ids(base):
+    for sid in _ids_of_sequence(base.remaining()):
         step = last[(sid.generator, sid.exponent)].occurrence
         shift[sid] = SyllableId(
             sid.generator, sid.exponent, sid.occurrence + (n - m) * step
@@ -211,10 +222,12 @@ def power_shift_map(word: Word, m: int, n: int) -> dict[SyllableId, SyllableId]:
 
 
 class _LiveHeap:
-    """The canonical word that cyclic reduction edits, kept as its heap:
-    ``syllables`` and the ``heap_masks`` masks ``below`` by position, and the
-    positions still in the word, in order, as ``order`` and as the bit
-    mask ``live``."""
+    """A minimal word kept as its heap: ``syllables`` and the
+    ``heap_masks`` masks ``below`` by position, and the positions still in
+    the word, in order, as ``order`` and as the bit mask ``live``.
+    ``order`` starts as the word's own order and is the canonical order
+    after ``reorder()``.  Cyclic reduction edits the heap of a canonical
+    word; ``power_shift_map`` reorders that of a concatenated power."""
 
     def __init__(self, word: Word):
         self.graph = word.graph

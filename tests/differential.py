@@ -10,7 +10,9 @@ Run from anywhere, with the standard library only:
 Each tree runs in child interpreters, one per PYTHONHASHSEED in
 ``HASH_SEEDS``, with ``PYTHONPATH`` on that tree's ``src/``.  The inputs
 are this script's and those of ``tests/test_cli_fuzz.py`` in this tree,
-so both trees see the same ones.  The corpora:
+so both trees see the same ones.  A child that runs longer than
+``TIMEOUT`` seconds is stopped, and the script exits naming the tree and
+the hash seed.  The corpora:
 
   * ``cli-fuzz-<seed>`` and ``cli-structure-<seed>``: exit code, stdout
     and stderr of ``cli.main`` over the seeded fuzz and structural corpora
@@ -21,7 +23,9 @@ so both trees see the same ones.  The corpora:
     ``concatenated_power``, ``cyclically_reduce``, ``minimal_representatives``
     with a cap, the covers of ``syllable_order``, certificate JSON,
     ``check_order_embedding``, ``classify`` and ``verify_power_properties``
-    reports and ``fill``;
+    reports, ``fill``, and (``power-shift``) the ordered label pairs of
+    ``power_shift_map`` on cyclically reduced words at (m, n) = (1, 2),
+    (2, 3) and (3, 5);
   * ``long-words``: normal forms, covers, cyclic reduction, certificates
     and the embedding check of 200-400-syllable words on a seeded
     40-vertex graph.
@@ -58,6 +62,7 @@ HASH_SEEDS = ("0", "1", "2")
 SHOWN = 5  # differing cases printed per corpus
 KEPT = 4000  # characters of a record the child reports, after its hash
 WINDOW = 160  # characters of a record printed, from just before the first difference
+TIMEOUT = 30  # seconds for one child: about ten times its run, so a quadratic regression ends it
 
 
 # -- the child: run every corpus on the raagmcg that PYTHONPATH names ------------
@@ -224,6 +229,16 @@ def library_corpora():
 
     corpus("fill", fills())
 
+    def reduced_words():
+        for graph, word in _graphs_and_words(15, 400, 12):
+            yield graph, R.cyclically_reduce(word)[0]
+
+    corpus("power-shift", keyed(reduced_words(), *[
+        (f"{m}->{n}", lambda g, w, m=m, n=n: [
+            (s.label(), t.label()) for s, t in R.power_shift_map(w, m, n).items()])
+        for m, n in ((1, 2), (2, 3), (3, 5))
+    ]))
+
     def long_words():
         rng = random.Random(14)
         graph = R.DefiningGraph.from_data(
@@ -305,8 +320,11 @@ def child() -> None:
 def run_tree(root: Path, hash_seed: str) -> dict:
     src = (root / "src").resolve()
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": hash_seed}
-    done = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--child"],
-                          env=env, capture_output=True, text=True)
+    try:
+        done = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--child"],
+                              env=env, capture_output=True, text=True, timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        sys.exit(f"the corpora took more than {TIMEOUT} s on {root} (PYTHONHASHSEED={hash_seed})")
     if done.returncode:
         sys.exit(f"the corpora failed on {root} (PYTHONHASHSEED={hash_seed}):\n{done.stderr}")
     report = json.loads(done.stdout)

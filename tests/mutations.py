@@ -85,6 +85,14 @@ MUTATIONS = [
         "minimal = {syllables[i].generator: i for i in order if not below[i]}",
         ("tests/test_cyclic_reduction.py::test_live_heap_matches_trial_conjugation_on_long_conjugates",),
     ),
+    # Shift maps: the canonical order of w^m, read off the concatenation's heap.
+    Mutation(
+        "shift-map-reorder",
+        "syllables.py",
+        "    base.reorder()\n",
+        "",
+        ("tests/test_syllables.py::test_shift_map_keys_follow_the_canonical_order_of_the_power",),
+    ),
     # The syllable order.
     Mutation(
         "hasse-covers",

@@ -10,18 +10,21 @@ both sides and holds on every Python version, whose counts differ.
 The words are random syllables over the 40-vertex graph on which half of
 all vertex pairs are edges (the ``random-long`` graph of seed 1), with
 exponents ±1 and ±2.  Each input is built before the traced call, so a
-quadratic normal form does not hide inside a linear layer's count.
+quadratic normal form does not hide inside a linear layer's count;
+``power_shift_map`` gets the word's cyclic reduction, built the same way.
 ``normalize`` itself is still quadratic and has no guard here.
 """
 
 import random
 import sys
+from functools import partial
 
 import pytest
 
 from raagmcg import (
-    DefiningGraph, check_order_embedding, default_constants, in_special_subgroup,
-    make_certificate, normalize, syllable_order, syllable_subsurface_map, word_from_pairs,
+    DefiningGraph, check_order_embedding, cyclically_reduce, default_constants,
+    in_special_subgroup, make_certificate, normalize, power_shift_map, syllable_order,
+    syllable_subsurface_map, word_from_pairs,
 )
 from raagmcg.words import heap_masks
 
@@ -75,6 +78,10 @@ LAYERS = {
     # so the whole free reduction is read.
     "in_special_subgroup":
         lambda word: lambda: in_special_subgroup(word, word.graph.vertices),
+    # A conjugate of least syllable count, whose support is connected in
+    # the complement graph; the square's canonical order is read off.
+    "power_shift_map":
+        lambda word: partial(power_shift_map, cyclically_reduce(word)[0], 2, 3),
 }
 
 

@@ -206,6 +206,10 @@ def test_constants_reject_bad_shape(pentagon):
     with pytest.raises(InvalidConstants, match="D must be nonnegative") as err:
         Constants.create(pentagon, k0=100, d=-1)  # K = 118 passes the checks before D's
     assert err.value.details == {"field": "D"}
+    for tau in (5, "ab", [1, 2]):  # none of them can be turned into a dict
+        with pytest.raises(InvalidConstants, match="tau must be a mapping") as err:
+            Constants.create(pentagon, tau=tau)
+        assert err.value.details == {"field": "tau"}
 
 
 def test_hand_built_constants_out_of_float_range_are_typed(pentagon):
@@ -262,8 +266,15 @@ def test_constants_reject_tau_that_is_not_a_finite_number(pentagon, tau_a, messa
         ({"a": "x"}, "A", "A must be a real number"),
         ({"k0": "x"}, "K0", "K0 must be a real number"),
         ({"k0": float("nan")}, "K0", "K0 must be finite (got nan)"),
+        ({"k": "x"}, "K", "K must be a real number"),
+        ({"k": None}, "K", "K must be a real number"),
+        ({"k": float("nan")}, "K", "K must be finite (got nan)"),
+        ({"k": float("inf")}, "K", "K must be finite (got inf)"),
+        ({"tau": 5}, "tau", "tau must be a mapping"),
+        ({"tau": None}, "tau", "tau must be a mapping"),
     ],
-    ids=["A-nan", "B-inf", "A-str", "K0-str", "K0-nan"],
+    ids=["A-nan", "B-inf", "A-str", "K0-str", "K0-nan", "K-str", "K-none", "K-nan", "K-inf",
+         "tau-int", "tau-none"],
 )
 def test_hand_built_constants_that_are_not_finite_numbers_are_typed(overrides, field, message):
     # Only validate sees a pack that never went through Constants.create,
@@ -271,9 +282,11 @@ def test_hand_built_constants_that_are_not_finite_numbers_are_typed(overrides, f
     graph = DefiningGraph.from_data("ab", [])
     fields = {"k0": 10, "d": 6, "k": 42, "c": 84, "a": 2, "b": 10, "tau": {"a": 84, "b": 84}}
     constants = Constants(**{**fields, **overrides})
-    with pytest.raises(InvalidConstants) as err:
-        make_certificate(w("a b", graph), constants)
-    assert (err.value.message, err.value.details) == (message, {"field": field})
+    for call in (lambda: constants.validate(graph),
+                 lambda: make_certificate(w("a b", graph), constants)):
+        with pytest.raises(InvalidConstants) as err:
+            call()
+        assert (err.value.message, err.value.details) == (message, {"field": field})
 
 
 def test_certificate_arithmetic(pentagon):

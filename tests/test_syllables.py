@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -7,6 +8,7 @@ from raagmcg import (
     NotCyclicallyReduced,
     ShiftMapUndefined,
     SyllableId,
+    concatenated_power,
     cyclically_reduce,
     equal_elements,
     invert,
@@ -21,7 +23,7 @@ from raagmcg import (
     syllable_order,
     word_from_pairs,
 )
-from conftest import random_word
+from conftest import random_graph, random_word
 from helpers import conjugacy_oracle_min_syllables, reference_covering_pairs
 
 
@@ -188,6 +190,34 @@ def test_shift_map_rejects_disconnected_support(pentagon):
 def test_shift_map_rejects_unreduced(pentagon):
     with pytest.raises(NotCyclicallyReduced):
         power_shift_map(w("a c a^-1", pentagon), 1, 2)
+
+
+def test_shift_map_keys_follow_the_canonical_order_of_the_power():
+    # At m >= 2 the concatenation of m copies of w is often not in
+    # canonical order: with only a and c commuting, w = a b c is canonical
+    # but w^2 is a b a c b c.  The keys must come in the order of
+    # syllable_ids(power(w, m)), each value shifted by n - m times the
+    # count of its syllable in w.
+    rng = random.Random(3)
+    checked = reordered = 0
+    while checked < 300:
+        graph = random_graph(rng, max_vertices=7)
+        word = cyclically_reduce(random_word(rng, graph, 10, min_syllables=2))[0]
+        if len(word.support()) < 2 or len(
+                graph.complement().components(sorted(word.support()))) != 1:
+            continue
+        counts = Counter((s.generator, s.exponent) for s in word.syllables)
+        for m, n in ((2, 3), (3, 5)):
+            base = power(word, m)
+            expected = [
+                (sid, SyllableId(sid.generator, sid.exponent,
+                                 sid.occurrence + (n - m) * counts[sid.generator, sid.exponent]))
+                for sid in syllable_ids(base)
+            ]
+            assert list(power_shift_map(word, m, n).items()) == expected, (str(word), m, n)
+            reordered += base.syllables != concatenated_power(word, m).syllables
+        checked += 1
+    assert reordered >= 50, reordered  # so the order is really tested
 
 
 def test_shift_map_preserves_order(pentagon):
