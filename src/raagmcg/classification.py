@@ -19,9 +19,9 @@ mapping classes stay symbolic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .defining_graph import Frozen
 from .errors import GraphMismatch, NotCyclicallyReduced, NotFilling
 from .realization import Realization, build_standard_realization, fill
 from .syllables import cyclically_reduce, is_cyclically_reduced, syllable_ids
@@ -34,23 +34,59 @@ ASSUMPTIONS = ("tau_X(f_i) >= C for all i", "realization is nice")
 COMPONENT_KIND = "pseudo_anosov_on_component"
 
 
-@dataclass(frozen=True)
-class ComponentReport:
-    generators: tuple[str, ...]
-    word: Word
-    fills_ambient: bool
-    kind: str = COMPONENT_KIND
+class ComponentReport(Frozen):
+    """One component of a classification: its generators, its word, and
+    whether its subsurfaces fill the ambient surface."""
+
+    __match_args__ = ("generators", "word", "fills_ambient", "kind")
+
+    def __init__(self, generators: tuple[str, ...], word: Word, fills_ambient: bool,
+                 kind: str = COMPONENT_KIND):
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "fills_ambient", fills_ambient)
+        object.__setattr__(self, "kind", kind)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.generators, self.word, self.fills_ambient, self.kind) == (
+                other.generators, other.word, other.fills_ambient, other.kind)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.generators, self.word, self.fills_ambient, self.kind))
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    input: Word
-    reduced: Word
-    conjugator: Word
-    r: int
-    components: tuple[ComponentReport, ...]
-    overall: str
-    translation_bound: Fraction | None
+class ClassificationReport(Frozen):
+    """The Thurston-type report of ``classify``: the cyclic reduction, its
+    components and the overall type."""
+
+    __match_args__ = (
+        "input", "reduced", "conjugator", "r", "components", "overall", "translation_bound",
+    )
+
+    def __init__(self, input: Word, reduced: Word, conjugator: Word, r: int,
+                 components: tuple[ComponentReport, ...], overall: str,
+                 translation_bound: Fraction | None):
+        object.__setattr__(self, "input", input)
+        object.__setattr__(self, "reduced", reduced)
+        object.__setattr__(self, "conjugator", conjugator)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "overall", overall)
+        object.__setattr__(self, "translation_bound", translation_bound)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.input, self.reduced, self.conjugator, self.r, self.components,
+                    self.overall, self.translation_bound) == (
+                other.input, other.reduced, other.conjugator, other.r, other.components,
+                other.overall, other.translation_bound)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.input, self.reduced, self.conjugator, self.r, self.components,
+                     self.overall, self.translation_bound))
 
     def to_json_dict(self) -> dict:
         return {

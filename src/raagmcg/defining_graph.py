@@ -12,7 +12,6 @@ vertices is kept: it is the tie-breaking order for all canonical forms.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -30,15 +29,48 @@ def _unquotable(vertex: str) -> MalformedGraph:
     )
 
 
-@dataclass(frozen=True)
-class DefiningGraph:
+class Frozen:
+    """The base of the package's immutable value classes.
+
+    Each subclass names its fields in order in ``__match_args__`` and
+    writes out its own ``__init__`` (one ``object.__setattr__`` per
+    field), ``__eq__`` (the field tuples, only against its own class) and
+    ``__hash__`` (the field tuple's): they are on the hot paths, so each
+    is one Python call.  This base gives the rest: the repr
+    ``Name(field=value, ...)``, and ``AttributeError`` on any assignment
+    or deletion.  It is not in ``__all__``."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class DefiningGraph(Frozen):
     """A finite simple graph on named generators."""
 
-    vertices: tuple[str, ...]
-    edges: frozenset[frozenset[str]]
+    __match_args__ = ("vertices", "edges")
 
-    def __post_init__(self):
+    def __init__(self, vertices: tuple[str, ...], edges: frozenset[frozenset[str]]):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
         self.validate()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.vertices, self.edges) == (other.vertices, other.edges)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.vertices, self.edges))
 
     @classmethod
     def from_data(cls, vertices: Sequence[str], edges: Iterable[Sequence[str]]) -> "DefiningGraph":

@@ -22,12 +22,11 @@ the realization is trusted to list enough reference curves.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
-from .defining_graph import DefiningGraph
+from .defining_graph import DefiningGraph, Frozen
 from .errors import (
     DisjointnessMismatch,
     DuplicateCurve,
@@ -40,27 +39,71 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Subsurface:
-    label: str
-    vertex: str
-    core: str
-    intersects: frozenset[str]
+class Subsurface(Frozen):
+    """The subsurface of one vertex: its core curve and the reference curves it meets."""
+
+    __match_args__ = ("label", "vertex", "core", "intersects")
+
+    def __init__(self, label: str, vertex: str, core: str, intersects: frozenset[str]):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "vertex", vertex)
+        object.__setattr__(self, "core", core)
+        object.__setattr__(self, "intersects", intersects)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.label, self.vertex, self.core, self.intersects) == (
+                other.label, other.vertex, other.core, other.intersects)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.label, self.vertex, self.core, self.intersects))
 
 
-@dataclass(frozen=True)
-class FillResult:
-    components: tuple[tuple[str, ...], ...]
-    fills_ambient: bool
-    uncovered_curves: frozenset[str]
+class FillResult(Frozen):
+    """What ``fill`` finds for a set of vertices: the components of their
+    subsurfaces, whether those fill the ambient surface, and the reference
+    curves none of them meets."""
+
+    __match_args__ = ("components", "fills_ambient", "uncovered_curves")
+
+    def __init__(self, components: tuple[tuple[str, ...], ...], fills_ambient: bool,
+                 uncovered_curves: frozenset[str]):
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "fills_ambient", fills_ambient)
+        object.__setattr__(self, "uncovered_curves", uncovered_curves)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.components, self.fills_ambient, self.uncovered_curves) == (
+                other.components, other.fills_ambient, other.uncovered_curves)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.components, self.fills_ambient, self.uncovered_curves))
 
 
-@dataclass(frozen=True)
-class Realization:
-    graph: DefiningGraph
-    subsurfaces: tuple[Subsurface, ...]
-    reference_curves: tuple[str, ...]
-    ambient_label: str
+class Realization(Frozen):
+    """A graph realized on a surface: one subsurface per vertex, and the
+    reference curves of the ambient surface."""
+
+    __match_args__ = ("graph", "subsurfaces", "reference_curves", "ambient_label")
+
+    def __init__(self, graph: DefiningGraph, subsurfaces: tuple[Subsurface, ...],
+                 reference_curves: tuple[str, ...], ambient_label: str):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "subsurfaces", subsurfaces)
+        object.__setattr__(self, "reference_curves", reference_curves)
+        object.__setattr__(self, "ambient_label", ambient_label)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.graph, self.subsurfaces, self.reference_curves, self.ambient_label) == (
+                other.graph, other.subsurfaces, other.reference_curves, other.ambient_label)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.graph, self.subsurfaces, self.reference_curves, self.ambient_label))
 
     def subsurface_for(self, vertex: str) -> Subsurface:
         self.graph.require_vertex(vertex)

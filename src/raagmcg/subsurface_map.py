@@ -50,11 +50,10 @@ parameters, not derived from any surface.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from numbers import Real
 from typing import Mapping
 
-from .defining_graph import DefiningGraph
+from .defining_graph import DefiningGraph, Frozen
 from .errors import GraphMismatch, IntegerTooLong, InvalidConstants
 from .syllables import SyllableId, _ids_of_sequence, syllable_order
 from .words import (
@@ -67,8 +66,7 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class MappedSubsurface:
+class MappedSubsurface(Frozen):
     """A translate of a base subsurface: (prefix word, base vertex).
 
     Two values denote the same subsurface iff the base vertices agree
@@ -76,8 +74,19 @@ class MappedSubsurface:
     base.
     """
 
-    prefix: Word
-    base_vertex: str
+    __match_args__ = ("prefix", "base_vertex")
+
+    def __init__(self, prefix: Word, base_vertex: str):
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "base_vertex", base_vertex)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.prefix, self.base_vertex) == (other.prefix, other.base_vertex)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.prefix, self.base_vertex))
 
     def equivalent(self, other: "MappedSubsurface") -> bool:
         """Whether prefix^-1 * other.prefix lies in the star subgroup of
@@ -85,7 +94,7 @@ class MappedSubsurface:
         syllables reversed, with negated exponents, then the other's, and
         ``in_special_subgroup`` reads its free reduction: no normal form
         is computed.  Both prefixes hold syllables already checked against
-        the common graph, so the word skips the check of ``__post_init__``."""
+        the common graph, so the word skips the check of ``Word(...)``."""
         if self.base_vertex != other.base_vertex:
             return False
         graph = self.prefix.graph
@@ -120,10 +129,22 @@ def _mapped(canonical: Word) -> list[tuple[SyllableId, MappedSubsurface]]:
     ]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    ok: bool
-    detail: str = ""
+class CheckResult(Frozen):
+    """The outcome of a check, and the first counterexample when it fails."""
+
+    __match_args__ = ("ok", "detail")
+
+    def __init__(self, ok: bool, detail: str = ""):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "detail", detail)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ok, self.detail) == (other.ok, other.detail)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ok, self.detail))
 
 
 def check_representative_independence(word: Word, cap: int = DEFAULT_CAP) -> CheckResult:
@@ -289,24 +310,36 @@ def _invalid(field: str, plain: str, template: str, *values) -> InvalidConstants
     return InvalidConstants(message, field=field)
 
 
-@dataclass(frozen=True)
-class Constants:
+class Constants(Frozen):
     """The constant pack behind a certificate.
 
     k = k0 + 20 + 2*d, the threshold above which projection distances
     accumulate; c = 2*k, the translation length every generator's
     mapping class must beat; (a, b) the coarse-comparison constants of
     the ambient distance formulas; tau the per-vertex translation
-    lengths assumed for the generators.
+    lengths assumed for the generators.  A dict tau makes a pack unhashable.
     """
 
-    k0: float
-    d: float
-    k: float
-    c: float
-    a: float
-    b: float
-    tau: Mapping[str, float]
+    __match_args__ = ("k0", "d", "k", "c", "a", "b", "tau")
+
+    def __init__(self, k0: float, d: float, k: float, c: float, a: float, b: float,
+                 tau: Mapping[str, float]):
+        object.__setattr__(self, "k0", k0)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "tau", tau)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.k0, self.d, self.k, self.c, self.a, self.b, self.tau) == (
+                other.k0, other.d, other.k, other.c, other.a, other.b, other.tau)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.k0, self.d, self.k, self.c, self.a, self.b, self.tau))
 
     @classmethod
     def create(
@@ -399,24 +432,49 @@ def default_constants(graph: DefiningGraph) -> Constants:
     return Constants.create(graph)
 
 
-@dataclass(frozen=True)
-class CertificateEntry:
-    syllable: SyllableId
-    subsurface: MappedSubsurface
-    bound: float
+class CertificateEntry(Frozen):
+    """One syllable of a certificate, its subsurface and its projection lower bound."""
+
+    __match_args__ = ("syllable", "subsurface", "bound")
+
+    def __init__(self, syllable: SyllableId, subsurface: MappedSubsurface, bound: float):
+        object.__setattr__(self, "syllable", syllable)
+        object.__setattr__(self, "subsurface", subsurface)
+        object.__setattr__(self, "bound", bound)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.syllable, self.subsurface, self.bound) == (
+                other.syllable, other.subsurface, other.bound)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.syllable, self.subsurface, self.bound))
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Frozen):
     """Per-syllable projection lower bounds and their aggregation into
     distance lower-bound templates for the marking graph, Weil-Petersson
     and Teichmueller metrics."""
 
-    sigma: Word
-    constants: Constants
-    entries: tuple[CertificateEntry, ...]
-    total: float
-    templates: tuple[str, ...]
+    __match_args__ = ("sigma", "constants", "entries", "total", "templates")
+
+    def __init__(self, sigma: Word, constants: Constants, entries: tuple[CertificateEntry, ...],
+                 total: float, templates: tuple[str, ...]):
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "constants", constants)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "templates", templates)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.sigma, self.constants, self.entries, self.total, self.templates) == (
+                other.sigma, other.constants, other.entries, other.total, other.templates)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.sigma, self.constants, self.entries, self.total, self.templates))
 
     def to_json_dict(self) -> dict:
         """The certificate as JSON data.  A prefix equal to sigma's first

@@ -36,22 +36,58 @@ copies of w, which is minimal, so only w is normalized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
+from .defining_graph import Frozen
 from .errors import IntegerTooLong, NotCyclicallyReduced, ShiftMapUndefined
 from .words import Syllable, Word, concatenated_power, heap_masks, normalize
 
 
-@dataclass(frozen=True, order=True)
-class SyllableId:
+class SyllableId(Frozen):
     """(generator, exponent, occurrence): the occurrence rank counts equal
-    syllables left to right in any minimal word."""
+    syllables left to right in any minimal word.  Ids compare and order
+    as their field tuples, and only against ids."""
 
-    generator: str
-    exponent: int
-    occurrence: int
+    __match_args__ = ("generator", "exponent", "occurrence")
+
+    def __init__(self, generator: str, exponent: int, occurrence: int):
+        object.__setattr__(self, "generator", generator)
+        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "occurrence", occurrence)
+
+    def _key(self) -> tuple[str, int, int]:
+        # The field tuple the ordering compares; ids are ordered off the hot paths.
+        return self.generator, self.exponent, self.occurrence
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.generator, self.exponent, self.occurrence) == (
+                other.generator, other.exponent, other.occurrence)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.generator, self.exponent, self.occurrence))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() < other._key()
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() <= other._key()
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() > other._key()
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() >= other._key()
+        return NotImplemented
 
     def label(self) -> str:
         try:
@@ -78,14 +114,24 @@ def syllable_ids(word: Word) -> tuple[SyllableId, ...]:
     return tuple(_ids_of_sequence(normalize(word).syllables))
 
 
-@dataclass(frozen=True)
-class SyllableOrder:
+class SyllableOrder(Frozen):
     """The strict partial order: s precedes t iff s comes before t in
     every minimal representative.  It is kept as the heap: bit i of
     ``below[j]`` is set when ``elements[i]`` precedes ``elements[j]``."""
 
-    elements: tuple[SyllableId, ...]
-    below: tuple[int, ...]
+    __match_args__ = ("elements", "below")
+
+    def __init__(self, elements: tuple[SyllableId, ...], below: tuple[int, ...]):
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "below", below)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.elements, self.below) == (other.elements, other.below)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.elements, self.below))
 
     @cached_property
     def precedes(self) -> frozenset[tuple[SyllableId, SyllableId]]:
@@ -161,7 +207,8 @@ def power_shift_map(word: Word, m: int, n: int) -> dict[SyllableId, SyllableId]:
     """Map each syllable of word^m to its copy n - m blocks later in
     word^n (so the block-j copy of a syllable goes to block j + n - m).
 
-    Requires 1 <= m < n and a cyclically reduced word whose support has
+    Requires integers 1 <= m < n (a bool is not one; any other m or n
+    raises the same ValueError first) and a cyclically reduced word whose support has
     a connected complement graph with at least two generators; those
     conditions keep powers of minimal words minimal, so the blocks stay
     intact.  Single-generator words are rejected: their powers merge
@@ -190,8 +237,10 @@ def power_shift_map(word: Word, m: int, n: int) -> dict[SyllableId, SyllableId]:
     minimal word it is read from, so the keys, the values and the order
     of the keys are those read off the normal form of w^m.
     """
-    if not 1 <= m < n:
-        raise ValueError("need 1 <= m < n")
+    integers = (isinstance(m, int) and isinstance(n, int)
+                and not isinstance(m, bool) and not isinstance(n, bool))
+    if not integers or not 1 <= m < n:
+        raise ValueError("need integers m, n with 1 <= m < n")
     w = normalize(word)
     if not is_cyclically_reduced(w):
         raise NotCyclicallyReduced("word is not conjugacy-minimal")

@@ -52,9 +52,11 @@ pair (syllable count, letter length); the greedy pass only permutes a
 fixed multiset.  Exponents are plain Python integers, so powers never
 overflow.
 
-Construction: ``Word(...)`` checks every generator against the graph;
-it builds the words over syllables that come from outside (callers,
-``word_from_pairs``, ``empty_word``).  ``Word._from_checked`` trusts its
+Construction: ``Syllable`` and ``Word`` are plain immutable classes
+(``defining_graph.Frozen``) whose methods are written out, not generated
+by ``dataclasses``.  ``Word(...)`` checks every generator against the
+graph in its ``__init__``; it builds the words over syllables that come
+from outside (callers, ``word_from_pairs``, ``empty_word``).  ``Word._from_checked`` trusts its
 syllables, so it takes only syllables whose generators are checked
 against the same graph already: taken from a word over it, named from
 ``graph.vertices``, or checked one by one as ``parse_word`` parses.  It
@@ -73,10 +75,9 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .defining_graph import DefiningGraph
+from .defining_graph import DefiningGraph, Frozen
 from .errors import (
     CapExceeded, GraphMismatch, IntegerTooLong, MalformedWord, MoveNotApplicable,
     SearchBudgetExceeded, UnknownVertex,
@@ -89,30 +90,53 @@ _EXPONENT = re.compile(r"-?[0-9]+")
 Pair = tuple[int, int]  # (vertex index, exponent)
 
 
-@dataclass(frozen=True, slots=True)
-class Syllable:
+class Syllable(Frozen):
     """One block ``generator^exponent``.  Normalized words never carry a
     zero exponent; raw move inputs may."""
 
-    generator: str
-    exponent: int
+    __slots__ = __match_args__ = ("generator", "exponent")
+
+    def __init__(self, generator: str, exponent: int):
+        object.__setattr__(self, "generator", generator)
+        object.__setattr__(self, "exponent", exponent)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.generator, self.exponent) == (other.generator, other.exponent)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.generator, self.exponent))
+
+    def __reduce__(self):
+        # Copies and pickles call the constructor: the frozen guard blocks
+        # the default restore of slots.
+        return Syllable, (self.generator, self.exponent)
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Frozen):
     """An ordered sequence of syllables over a fixed defining graph."""
 
-    syllables: tuple[Syllable, ...]
-    graph: DefiningGraph
+    __match_args__ = ("syllables", "graph")
     _canonical = False  # not a field; set on normal forms (see the module docstring)
 
-    def __post_init__(self):
-        index = self.graph.index
-        for s in self.syllables:
+    def __init__(self, syllables: tuple[Syllable, ...], graph: DefiningGraph):
+        object.__setattr__(self, "syllables", syllables)
+        object.__setattr__(self, "graph", graph)
+        index = graph.index
+        for s in syllables:
             if s.generator not in index:
                 raise UnknownVertex(
                     f"unknown generator {s.generator!r}", label=s.generator
                 )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.syllables, self.graph) == (other.syllables, other.graph)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.syllables, self.graph))
 
     def __str__(self) -> str:
         return " ".join(self._tokens())
@@ -147,7 +171,7 @@ class Word:
     def prefixes(self) -> list["Word"]:
         """The words on the first i syllables, for i = 0, ..., len(self) - 1.
         They reuse this word's syllables, already checked against the
-        graph, so ``__post_init__`` does not check them again.  No prefix
+        graph, so ``Word(...)`` does not check them again.  No prefix
         is marked canonical."""
         syllables, graph = self.syllables, self.graph
         return [Word._from_checked(syllables[:i], graph) for i in range(len(syllables))]
@@ -155,7 +179,7 @@ class Word:
     @classmethod
     def _from_checked(cls, syllables: tuple, graph: DefiningGraph, canonical=False) -> "Word":
         # Syllables whose generators are checked against ``graph`` already
-        # (see the module docstring): no __post_init__.  ``canonical``
+        # (see the module docstring): no check of Word(...).  ``canonical``
         # marks a normal form.
         word = object.__new__(cls)
         object.__setattr__(word, "syllables", syllables)
@@ -463,7 +487,7 @@ def minimal_representatives(word: Word, cap: int = DEFAULT_CAP) -> list[Word]:
     ready syllables, so at two generators: the list comes out sorted,
     each word once.  Each word is built from the normal form's own
     syllables, already checked against the graph, so it skips the check
-    of ``__post_init__``.
+    of ``Word(...)``.
 
     Raises CapExceeded once more than ``cap`` words are found; a word
     with one representative returns it for any ``cap``.

@@ -374,6 +374,29 @@ MUTATIONS = [
         "metavar = None",
         ("tests/test_startup.py::test_usage_matrix_matches_the_full_parser",),
     ),
+    # Value classes: the hash of the field tuple, the ordering of syllable
+    # ids, and the frozen guard.
+    Mutation(
+        "syllable-hash-field",
+        "words.py",
+        "return hash((self.generator, self.exponent))",
+        "return hash((self.generator,))",
+        ("tests/test_value_classes.py::test_hash_is_the_hash_of_the_field_tuple[Syllable]",),
+    ),
+    Mutation(
+        "syllable-id-order-field",
+        "syllables.py",
+        "return self.generator, self.exponent, self.occurrence",
+        "return self.generator, self.exponent",
+        ("tests/test_value_classes.py::test_syllable_id_orders_by_its_field_tuple",),
+    ),
+    Mutation(
+        "frozen-assignment",
+        "defining_graph.py",
+        "        raise AttributeError(f\"cannot assign to field {name!r}\")",
+        "        object.__setattr__(self, name, value)",
+        ("tests/test_value_classes.py::test_fields_cannot_be_assigned_or_deleted",),
+    ),
 ]
 
 

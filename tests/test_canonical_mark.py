@@ -3,7 +3,6 @@
 mark is not a field, so it changes no equality, hash or repr, and a word
 built any other way goes through the greedy pass."""
 
-import dataclasses
 import random
 
 from raagmcg import (
@@ -25,7 +24,7 @@ def test_normal_forms_are_returned_as_they_are(pentagon):
 
 
 def test_mark_is_not_a_field():
-    assert [f.name for f in dataclasses.fields(Word)] == ["syllables", "graph"]
+    assert Word.__match_args__ == ("syllables", "graph")
 
 
 def test_minimal_representatives_normalize_to_the_normal_form(pentagon):

@@ -1,14 +1,13 @@
-"""Words built from syllables that are already checked skip
-``__post_init__`` and must equal the words ``Word(...)`` builds and
+"""Words built from syllables that are already checked skip the check of
+``Word(...)`` and must equal the words ``Word(...)`` builds and
 checks: normal forms, minimal representatives, prefixes, parsed words,
 concatenated powers, the results of each move, the reduced word and
 conjugator of cyclic reduction, the component words of ``classify`` and
 the difference word of the star-coset test.  ``Syllable`` is a slotted
-frozen dataclass whose equality, hash, repr, copies and pickles stay
-those of the plain one."""
+immutable class whose equality, hash, repr, copies and pickles stay
+those of the unslotted one."""
 
 import copy
-import dataclasses
 import pickle
 import random
 
@@ -34,15 +33,15 @@ def test_syllable_is_slotted_and_round_trips():
     assert repr(s) == "Syllable(generator='a', exponent=-2)"
     assert s == Syllable("a", -2) and hash(s) == hash(("a", -2))
     assert s != Syllable("a", 2) and s != ("a", -2)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         s.exponent = 3
-    copies = [copy.copy(s), copy.deepcopy(s), dataclasses.replace(s)]
+    copies = [copy.copy(s), copy.deepcopy(s), Syllable(s.generator, s.exponent)]
     copies += [pickle.loads(pickle.dumps(s, protocol)) for protocol in
                range(pickle.HIGHEST_PROTOCOL + 1)]
     for other in copies:
         assert type(other) is Syllable
         assert other == s and hash(other) == hash(s) and repr(other) == repr(s)
-    assert dataclasses.replace(s, exponent=5) == Syllable("a", 5)
+    assert Syllable(s.generator, exponent=5) == Syllable("a", 5)
 
 
 def test_unknown_generator_keeps_message_and_label(pentagon):

@@ -11,13 +11,13 @@ corpora, byte for byte in the JSON."""
 import json
 import random
 import sys
-from dataclasses import replace
 
 import pytest
 
 import raagmcg.classification as classification
 from raagmcg import (
     Certificate,
+    CertificateEntry,
     Constants,
     DefiningGraph,
     IntegerTooLong,
@@ -169,10 +169,19 @@ def test_empty_certificate_matches_the_reference(pentagon):
 
 def with_prefixes(certificate: Certificate, prefixes) -> Certificate:
     entries = tuple(
-        replace(e, subsurface=MappedSubsurface(prefix, e.subsurface.base_vertex))
+        CertificateEntry(e.syllable, MappedSubsurface(prefix, e.subsurface.base_vertex), e.bound)
         for e, prefix in zip(certificate.entries, prefixes)
     )
-    return replace(certificate, entries=entries)
+    return with_parts(certificate, entries=entries)
+
+
+def with_parts(certificate: Certificate, sigma=None, entries=None) -> Certificate:
+    # The certificate with sigma or its entries replaced.
+    return Certificate(
+        certificate.sigma if sigma is None else sigma, certificate.constants,
+        certificate.entries if entries is None else entries, certificate.total,
+        certificate.templates,
+    )
 
 
 def test_prefixes_that_are_not_sigmas_print_as_themselves(pentagon):
@@ -200,8 +209,8 @@ def test_prefixes_that_are_not_sigmas_print_as_themselves(pentagon):
 def test_more_entries_than_sigma_has_syllables(pentagon):
     certificate = make_certificate(parse_word("a c e", pentagon), default_constants(pentagon))
     extra = certificate.entries[-1]
-    longer = replace(certificate, entries=certificate.entries + (extra, extra))
-    shorter = replace(certificate, sigma=parse_word("a c", pentagon))
+    longer = with_parts(certificate, entries=certificate.entries + (extra, extra))
+    shorter = with_parts(certificate, sigma=parse_word("a c", pentagon))
     for hand_built in (longer, shorter):
         assert dumps(hand_built.to_json_dict()) == dumps(reference_certificate_json(hand_built))
 
@@ -217,10 +226,11 @@ def test_integers_too_long_to_print_raise_as_before(pentagon):
     big = word_from_pairs(pentagon, [("a", 1), ("c", huge)])
     entries = certificate.entries
     cases = [
-        replace(certificate, sigma=big),  # sigma itself
+        with_parts(certificate, sigma=big),  # sigma itself
         with_prefixes(certificate, [big.prefixes()[0], big.prefixes()[1], big]),  # a prefix
-        replace(certificate, entries=entries[:1] + (  # an entry's label
-            replace(entries[1], syllable=SyllableId("c", huge, 1)),) + entries[2:]),
+        with_parts(certificate, entries=entries[:1] + (  # an entry's label
+            CertificateEntry(SyllableId("c", huge, 1), entries[1].subsurface, entries[1].bound),
+        ) + entries[2:]),
     ]
     for hand_built in cases:
         for to_json in (Certificate.to_json_dict, reference_certificate_json):

@@ -35,7 +35,8 @@ MODULES_BY_COMMAND = {
 
 # Runs in a fresh interpreter and prints one JSON object: the submodules
 # loaded by ``import raagmcg``, the public names bound before and after the
-# first attribute access, and the submodules each command loads.  Between
+# first attribute access, the submodules each command loads, and whether
+# any of that loaded ``dataclasses``.  Between
 # commands the package is dropped from sys.modules, so each one starts cold.
 CHILD = """
 import contextlib, io, json, sys
@@ -60,6 +61,7 @@ for command in commands:
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
     report[command] = [code, loaded()]
+report["dataclasses"] = "dataclasses" in sys.modules
 print(json.dumps(report))
 """
 
@@ -96,7 +98,7 @@ def test_command_loads_only_its_modules(child_report, command):
 # The standard-library modules the package imports.  A new module-level
 # import in the library has to be added here, where a review sees it.
 STDLIB_IMPORTS = (
-    "__future__", "collections", "dataclasses", "fractions", "functools", "itertools",
+    "__future__", "collections", "fractions", "functools", "itertools",
     "json", "math", "numbers", "re", "sys", "typing",
 )
 
@@ -138,6 +140,34 @@ def test_first_access_loads_only_the_listed_standard_library():
     assert loaded - package <= allowed, sorted(loaded - package - allowed)
 
 
+# Prints how many times ``import raagmcg`` and the first access to a public
+# name compile source text (``compile`` audit events of "<string>" source,
+# as ``exec`` and ``eval`` of a string raise), in a fresh interpreter.  The
+# listed standard library is imported first, so only the package counts.
+COMPILE_CHILD = """
+import sys
+for name in sys.argv[1:]:
+    __import__(name)
+compiled = []
+sys.addaudithook(lambda event, args: event == "compile" and args[1] == "<string>"
+                 and compiled.append(args[0]))
+import raagmcg
+raagmcg.DefiningGraph
+print(len(compiled))
+"""
+
+
+def test_first_access_compiles_no_generated_source():
+    # The value classes write their methods out, so no class body is
+    # built from text at import: a class decorator that generates
+    # methods (105 compiles for dataclass on the 15 classes) fails here, independent of
+    # timing.
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", COMPILE_CHILD, *STDLIB_IMPORTS], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert int(out) == 0
+
+
 def test_public_names_are_the_submodules_objects():
     raagmcg.DefiningGraph
     namespace = vars(raagmcg)
@@ -155,6 +185,12 @@ def test_star_import_dir_and_unknown_names():
     assert "__version__" in dir(raagmcg)
     with pytest.raises(AttributeError, match="nope"):
         raagmcg.nope
+
+
+def test_no_command_loads_dataclasses(child_report):
+    # The value classes are plain classes: neither the first access nor
+    # any command pays for importing dataclasses (and inspect, ast, dis).
+    assert child_report["dataclasses"] is False
 
 
 def _parse(parser, argv, capsys):

@@ -175,6 +175,12 @@ def test_shift_map_rejects_degenerate_range(pentagon):
         power_shift_map(w("a c", pentagon), 2, 2)
 
 
+@pytest.mark.parametrize("m, n", [(1.5, 2), (1, "x"), (True, 2), (1, 2.0), ("1", 2)])
+def test_shift_map_rejects_exponents_that_are_not_integers(pentagon, m, n):
+    with pytest.raises(ValueError, match="integers"):
+        power_shift_map(w("a c", pentagon), m, n)
+
+
 def test_shift_map_rejects_single_generator(pentagon):
     with pytest.raises(ShiftMapUndefined):
         power_shift_map(w("a", pentagon), 1, 3)
