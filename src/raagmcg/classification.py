@@ -19,7 +19,7 @@ mapping classes stay symbolic.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .defining_graph import Frozen
 from .errors import GraphMismatch, NotCyclicallyReduced, NotFilling
@@ -28,6 +28,9 @@ from .syllables import cyclically_reduce, is_cyclically_reduced, syllable_ids
 from .words import (
     DEFAULT_CAP, Word, concatenated_power, heap_masks, is_minimal, normalize, oracle_min_syllables,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 ASSUMPTIONS = ("tau_X(f_i) >= C for all i", "realization is nice")
 
@@ -46,15 +49,6 @@ class ComponentReport(Frozen):
         object.__setattr__(self, "word", word)
         object.__setattr__(self, "fills_ambient", fills_ambient)
         object.__setattr__(self, "kind", kind)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.generators, self.word, self.fills_ambient, self.kind) == (
-                other.generators, other.word, other.fills_ambient, other.kind)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.generators, self.word, self.fills_ambient, self.kind))
 
 
 class ClassificationReport(Frozen):
@@ -75,18 +69,6 @@ class ClassificationReport(Frozen):
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "overall", overall)
         object.__setattr__(self, "translation_bound", translation_bound)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.input, self.reduced, self.conjugator, self.r, self.components,
-                    self.overall, self.translation_bound) == (
-                other.input, other.reduced, other.conjugator, other.r, other.components,
-                other.overall, other.translation_bound)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.input, self.reduced, self.conjugator, self.r, self.components,
-                     self.overall, self.translation_bound))
 
     def to_json_dict(self) -> dict:
         return {
@@ -150,9 +132,12 @@ def classify(word: Word, realization: Realization) -> ClassificationReport:
             components.append(
                 ComponentReport(part, part_word, fill(realization, part).fills_ambient)
             )
-    pseudo_anosov = len(components) == 1 and components[0].fills_ambient
-    overall = "pseudo_anosov" if pseudo_anosov else "reducible"
-    bound = Fraction(1, 2 * r + 1) if pseudo_anosov else None
+    overall, bound = "reducible", None
+    if len(components) == 1 and components[0].fills_ambient:
+        # Imported here, as only this report holds a fraction: fractions
+        # loads decimal, which the first access to the package skips.
+        from fractions import Fraction
+        overall, bound = "pseudo_anosov", Fraction(1, 2 * r + 1)
     return ClassificationReport(
         canonical, reduced, conjugator, r, tuple(components), overall, bound
     )

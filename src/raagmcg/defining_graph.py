@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from functools import cached_property, partial
 from itertools import combinations
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -32,16 +33,27 @@ def _unquotable(vertex: str) -> MalformedGraph:
 class Frozen:
     """The base of the package's immutable value classes.
 
-    Each subclass names its fields in order in ``__match_args__`` and
-    writes out its own ``__init__`` (one ``object.__setattr__`` per
-    field), ``__eq__`` (the field tuples, only against its own class) and
-    ``__hash__`` (the field tuple's): they are on the hot paths, so each
-    is one Python call.  This base gives the rest: the repr
-    ``Name(field=value, ...)``, and ``AttributeError`` on any assignment
-    or deletion.  It is not in ``__all__``."""
+    Each subclass names its fields in order in ``__match_args__`` (at
+    least two, so ``_fields`` returns a tuple) and writes out its own
+    ``__init__``, one ``object.__setattr__`` per field.  This base gives
+    the rest, from the field tuple ``_fields(self)``: equality (only
+    against the same class), the hash, the repr ``Name(field=value,
+    ...)``, and ``AttributeError`` on any assignment or deletion.  It is
+    not in ``__all__``."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields = attrgetter(*cls.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields(self) == other._fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields(self))
 
     def __repr__(self) -> str:
         fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
@@ -63,14 +75,6 @@ class DefiningGraph(Frozen):
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
         self.validate()
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.vertices, self.edges) == (other.vertices, other.edges)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.vertices, self.edges))
 
     @classmethod
     def from_data(cls, vertices: Sequence[str], edges: Iterable[Sequence[str]]) -> "DefiningGraph":

@@ -50,15 +50,6 @@ class Subsurface(Frozen):
         object.__setattr__(self, "core", core)
         object.__setattr__(self, "intersects", intersects)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.label, self.vertex, self.core, self.intersects) == (
-                other.label, other.vertex, other.core, other.intersects)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.label, self.vertex, self.core, self.intersects))
-
 
 class FillResult(Frozen):
     """What ``fill`` finds for a set of vertices: the components of their
@@ -73,15 +64,6 @@ class FillResult(Frozen):
         object.__setattr__(self, "fills_ambient", fills_ambient)
         object.__setattr__(self, "uncovered_curves", uncovered_curves)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.components, self.fills_ambient, self.uncovered_curves) == (
-                other.components, other.fills_ambient, other.uncovered_curves)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.components, self.fills_ambient, self.uncovered_curves))
-
 
 class Realization(Frozen):
     """A graph realized on a surface: one subsurface per vertex, and the
@@ -95,15 +77,6 @@ class Realization(Frozen):
         object.__setattr__(self, "subsurfaces", subsurfaces)
         object.__setattr__(self, "reference_curves", reference_curves)
         object.__setattr__(self, "ambient_label", ambient_label)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.graph, self.subsurfaces, self.reference_curves, self.ambient_label) == (
-                other.graph, other.subsurfaces, other.reference_curves, other.ambient_label)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.graph, self.subsurfaces, self.reference_curves, self.ambient_label))
 
     def subsurface_for(self, vertex: str) -> Subsurface:
         self.graph.require_vertex(vertex)

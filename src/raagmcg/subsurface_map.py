@@ -80,14 +80,6 @@ class MappedSubsurface(Frozen):
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "base_vertex", base_vertex)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.prefix, self.base_vertex) == (other.prefix, other.base_vertex)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.prefix, self.base_vertex))
-
     def equivalent(self, other: "MappedSubsurface") -> bool:
         """Whether prefix^-1 * other.prefix lies in the star subgroup of
         the common base.  The concatenation is the first prefix's
@@ -137,14 +129,6 @@ class CheckResult(Frozen):
     def __init__(self, ok: bool, detail: str = ""):
         object.__setattr__(self, "ok", ok)
         object.__setattr__(self, "detail", detail)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.ok, self.detail) == (other.ok, other.detail)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ok, self.detail))
 
 
 def check_representative_independence(word: Word, cap: int = DEFAULT_CAP) -> CheckResult:
@@ -332,15 +316,6 @@ class Constants(Frozen):
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "tau", tau)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.k0, self.d, self.k, self.c, self.a, self.b, self.tau) == (
-                other.k0, other.d, other.k, other.c, other.a, other.b, other.tau)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.k0, self.d, self.k, self.c, self.a, self.b, self.tau))
-
     @classmethod
     def create(
         cls,
@@ -442,15 +417,6 @@ class CertificateEntry(Frozen):
         object.__setattr__(self, "subsurface", subsurface)
         object.__setattr__(self, "bound", bound)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.syllable, self.subsurface, self.bound) == (
-                other.syllable, other.subsurface, other.bound)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.syllable, self.subsurface, self.bound))
-
 
 class Certificate(Frozen):
     """Per-syllable projection lower bounds and their aggregation into
@@ -466,15 +432,6 @@ class Certificate(Frozen):
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "total", total)
         object.__setattr__(self, "templates", templates)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.sigma, self.constants, self.entries, self.total, self.templates) == (
-                other.sigma, other.constants, other.entries, other.total, other.templates)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.sigma, self.constants, self.entries, self.total, self.templates))
 
     def to_json_dict(self) -> dict:
         """The certificate as JSON data.  A prefix equal to sigma's first

@@ -36,7 +36,7 @@ copies of w, which is minimal, so only w is normalized.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, total_ordering
 from typing import Sequence
 
 from .defining_graph import Frozen
@@ -44,6 +44,7 @@ from .errors import IntegerTooLong, NotCyclicallyReduced, ShiftMapUndefined
 from .words import Syllable, Word, concatenated_power, heap_masks, normalize
 
 
+@total_ordering
 class SyllableId(Frozen):
     """(generator, exponent, occurrence): the occurrence rank counts equal
     syllables left to right in any minimal word.  Ids compare and order
@@ -56,37 +57,9 @@ class SyllableId(Frozen):
         object.__setattr__(self, "exponent", exponent)
         object.__setattr__(self, "occurrence", occurrence)
 
-    def _key(self) -> tuple[str, int, int]:
-        # The field tuple the ordering compares; ids are ordered off the hot paths.
-        return self.generator, self.exponent, self.occurrence
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.generator, self.exponent, self.occurrence) == (
-                other.generator, other.exponent, other.occurrence)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.generator, self.exponent, self.occurrence))
-
     def __lt__(self, other):
         if other.__class__ is self.__class__:
-            return self._key() < other._key()
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() <= other._key()
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() > other._key()
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() >= other._key()
+            return self._fields(self) < other._fields(other)
         return NotImplemented
 
     def label(self) -> str:
@@ -124,14 +97,6 @@ class SyllableOrder(Frozen):
     def __init__(self, elements: tuple[SyllableId, ...], below: tuple[int, ...]):
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "below", below)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.elements, self.below) == (other.elements, other.below)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.elements, self.below))
 
     @cached_property
     def precedes(self) -> frozenset[tuple[SyllableId, SyllableId]]:

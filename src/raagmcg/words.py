@@ -53,10 +53,11 @@ fixed multiset.  Exponents are plain Python integers, so powers never
 overflow.
 
 Construction: ``Syllable`` and ``Word`` are plain immutable classes
-(``defining_graph.Frozen``) whose methods are written out, not generated
-by ``dataclasses``.  ``Word(...)`` checks every generator against the
-graph in its ``__init__``; it builds the words over syllables that come
-from outside (callers, ``word_from_pairs``, ``empty_word``).  ``Word._from_checked`` trusts its
+(``defining_graph.Frozen``, which derives equality, hashing and the repr
+from the field names) with written-out constructors.  ``Word(...)``
+checks every generator against the graph in its ``__init__``; it builds
+the words over syllables that come from outside (callers,
+``word_from_pairs``, ``empty_word``).  ``Word._from_checked`` trusts its
 syllables, so it takes only syllables whose generators are checked
 against the same graph already: taken from a word over it, named from
 ``graph.vertices``, or checked one by one as ``parse_word`` parses.  It
@@ -100,14 +101,6 @@ class Syllable(Frozen):
         object.__setattr__(self, "generator", generator)
         object.__setattr__(self, "exponent", exponent)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.generator, self.exponent) == (other.generator, other.exponent)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.generator, self.exponent))
-
     def __reduce__(self):
         # Copies and pickles call the constructor: the frozen guard blocks
         # the default restore of slots.
@@ -129,14 +122,6 @@ class Word(Frozen):
                 raise UnknownVertex(
                     f"unknown generator {s.generator!r}", label=s.generator
                 )
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.syllables, self.graph) == (other.syllables, other.graph)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.syllables, self.graph))
 
     def __str__(self) -> str:
         return " ".join(self._tokens())

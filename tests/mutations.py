@@ -339,6 +339,22 @@ MUTATIONS = [
         "if q >= 0:",
         ("tests/test_representatives.py::test_heap_walk_matches_swap_closure_on_random_words",),
     ),
+    # A ready set rebuilt over every syllable at each step lists the same
+    # words, and only its guard sees it.
+    Mutation(
+        "representatives-quadratic",
+        "words.py",
+        "                child = ready[depth] ^ low\n"
+        "                for h in dependence[g]:\n"
+        "                    q = first[h]\n"
+        "                    if q >= 0 and not below[q] & unplaced:\n"
+        "                        child |= 1 << h\n",
+        "                child = 0\n"
+        "                for q in range(k):\n"
+        "                    if unplaced >> q & 1 and not below[q] & unplaced:\n"
+        "                        child |= 1 << gens[q]\n",
+        ("tests/test_complexity.py::test_minimal_representatives_is_linear_per_representative",),
+    ),
     # classify: a single component reuses the support's fill, which may not fill.
     Mutation(
         "classify-single-component-fill",
@@ -378,17 +394,27 @@ MUTATIONS = [
     # ids, and the frozen guard.
     Mutation(
         "syllable-hash-field",
-        "words.py",
-        "return hash((self.generator, self.exponent))",
-        "return hash((self.generator,))",
+        "defining_graph.py",
+        "return hash(self._fields(self))",
+        "return hash(self._fields(self)[:1])",
         ("tests/test_value_classes.py::test_hash_is_the_hash_of_the_field_tuple[Syllable]",),
     ),
     Mutation(
         "syllable-id-order-field",
         "syllables.py",
-        "return self.generator, self.exponent, self.occurrence",
-        "return self.generator, self.exponent",
+        "return self._fields(self) < other._fields(other)",
+        "return self._fields(self) <= other._fields(other)",
         ("tests/test_value_classes.py::test_syllable_id_orders_by_its_field_tuple",),
+    ),
+    Mutation(
+        "frozen-eq-class",
+        "defining_graph.py",
+        "        if other.__class__ is self.__class__:\n"
+        "            return self._fields(self) == other._fields(other)\n"
+        "        return NotImplemented",
+        "        return self._fields(self) == self._fields(other)",
+        ("tests/test_value_classes.py::test_equality_only_within_the_class[Syllable]",
+         "tests/test_value_classes.py::test_equal_fields_of_another_class_are_not_equal"),
     ),
     Mutation(
         "frozen-assignment",

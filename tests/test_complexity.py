@@ -13,6 +13,12 @@ exponents ±1 and ±2.  Each input is built before the traced call, so a
 quadratic normal form does not hide inside a linear layer's count;
 ``power_shift_map`` gets the word's cyclic reduction, built the same way.
 ``normalize`` itself is still quadratic and has no guard here.
+
+``minimal_representatives`` is guarded per representative, on
+``(x y)^n u`` in F2×F2 at n = 15 and 60: 31 and 121 syllables, and as
+many representatives, since ``u`` may stand at any position.  Each
+representative is one root-to-leaf walk of the depth-first search, so
+its share of the line events grows with the word's length, not faster.
 """
 
 import random
@@ -23,8 +29,8 @@ import pytest
 
 from raagmcg import (
     DefiningGraph, check_order_embedding, cyclically_reduce, default_constants,
-    in_special_subgroup, make_certificate, normalize, power_shift_map, syllable_order,
-    syllable_subsurface_map, word_from_pairs,
+    in_special_subgroup, make_certificate, minimal_representatives, normalize, power_shift_map,
+    syllable_order, syllable_subsurface_map, word_from_pairs,
 )
 from raagmcg.words import heap_masks
 
@@ -95,3 +101,16 @@ def words():
 def test_layer_is_linear_in_line_events(words, layer):
     small, large = (line_events(LAYERS[layer](word)) for word in words)
     assert large <= MAX_RATIO * small, (layer, small, large, large / small)
+
+
+def test_minimal_representatives_is_linear_per_representative():
+    graph = DefiningGraph.from_data("xyuv", [("x", "u"), ("x", "v"), ("y", "u"), ("y", "v")])
+    per_representative = []
+    for n in (15, 60):
+        word = normalize(word_from_pairs(graph, [(g, 1) for g in "xy" * n] + [("u", 1)]))
+        reps = []
+        events = line_events(lambda: reps.extend(minimal_representatives(word)))
+        assert len(reps) == len(word.syllables) == 2 * n + 1
+        per_representative.append(events / len(reps))
+    small, large = per_representative
+    assert large <= MAX_RATIO * small, (small, large, large / small)

@@ -1,7 +1,8 @@
 """The value semantics of the public value classes, one contract for all 15:
 the constructor, repr, equality only within a class, the hash of the field
 tuple, immutability, copies and pickles at every protocol, the field names
-in ``__match_args__``, and ``SyllableId``'s ordering by its field tuple."""
+in ``__match_args__``, equality and hashing shared from ``Frozen``, and
+``SyllableId``'s ordering by its field tuple."""
 
 import copy
 import pickle
@@ -162,9 +163,24 @@ def test_equality_only_within_the_class(cls):
         assert x != changed and not x == changed
 
 
+def test_equal_fields_of_another_class_are_not_equal():
+    # A Syllable's field names are a prefix of a SyllableId's, so the field
+    # tuples alone would make these two equal.
+    x, y = Syllable("a", 1), SyllableId("a", 1, 1)
+    assert x.__eq__(y) is NotImplemented and y.__eq__(x) is NotImplemented
+    assert x != y and not x == y
+
+
 @pytest.mark.parametrize("cls", CLASSES, ids=IDS)
 def test_hash_is_the_hash_of_the_field_tuple(cls):
     assert _hash_matches(_build(cls), _values(cls))
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=IDS)
+def test_equality_and_hash_are_the_shared_ones(cls):
+    # Frozen derives both from __match_args__; a written-out copy could
+    # leave a field out unnoticed.
+    assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls)
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=IDS)
