@@ -196,16 +196,6 @@ def build_standard_realization(graph: DefiningGraph) -> Realization:
     return Realization(graph, tuple(subs), curves, "standard")
 
 
-def _pair_relation(a: Subsurface, b: Subsurface) -> str:
-    meets_ab = b.core in a.intersects
-    meets_ba = a.core in b.intersects
-    if meets_ab and meets_ba:
-        return "overlap"
-    if meets_ab or meets_ba:
-        return "nested"
-    return "disjoint"
-
-
 def validate_realization(realization: Realization) -> None:
     """Check that no reference curve is declared twice, then the two
     niceness conditions against the declared incidences, raising on the
@@ -237,22 +227,18 @@ def validate_realization(realization: Realization) -> None:
             label=sorted(missing)[0],
         )
     for a, b in combinations(realization.subsurfaces, 2):
-        relation = _pair_relation(a, b)
-        is_edge = graph.has_edge(a.vertex, b.vertex)
-        if relation == "nested":
+        overlap = b.core in a.intersects
+        if (a.core in b.intersects) != overlap:
             raise NestingDetected(
                 f"{a.label} and {b.label} intersect without overlapping",
                 i=a.vertex, j=b.vertex,
             )
-        if relation == "disjoint" and not is_edge:
+        if overlap == graph.has_edge(a.vertex, b.vertex):
             raise DisjointnessMismatch(
+                f"{a.label} and {b.label} overlap but {a.vertex!r}, {b.vertex!r} commute"
+                if overlap else
                 f"{a.label} and {b.label} are disjoint but {a.vertex!r}, {b.vertex!r} "
                 "do not commute",
-                i=a.vertex, j=b.vertex,
-            )
-        if relation == "overlap" and is_edge:
-            raise DisjointnessMismatch(
-                f"{a.label} and {b.label} overlap but {a.vertex!r}, {b.vertex!r} commute",
                 i=a.vertex, j=b.vertex,
             )
 

@@ -50,7 +50,6 @@ parameters, not derived from any surface.
 from __future__ import annotations
 
 import math
-from numbers import Real
 from typing import Mapping
 
 from .defining_graph import DefiningGraph, Frozen
@@ -266,9 +265,12 @@ def check_order_embedding(word: Word) -> CheckResult:
 
 
 def _check_number(name: str, value) -> None:
-    # int and float first: the Real ABC hook costs two more calls.
-    if not isinstance(value, (int, float)) and not isinstance(value, Real):
-        raise InvalidConstants(f"{name} must be a real number", field=name)
+    # int and float first: the Real ABC hook costs two more calls, and
+    # numbers is imported only for a value of another type.
+    if not isinstance(value, (int, float)):
+        from numbers import Real
+        if not isinstance(value, Real):
+            raise InvalidConstants(f"{name} must be a real number", field=name)
     if not -math.inf < value < math.inf:
         raise InvalidConstants(f"{name} must be finite (got {value})", field=name)
 
@@ -377,8 +379,10 @@ class Constants(Frozen):
             if v not in self.tau:
                 raise InvalidConstants(f"tau undefined for vertex {v!r}", field="tau")
             tau = self.tau[v]
-            if not isinstance(tau, (int, float)) and not isinstance(tau, Real):
-                raise InvalidConstants(f"tau({v}) must be a real number", field="tau")
+            if not isinstance(tau, (int, float)):
+                from numbers import Real
+                if not isinstance(tau, Real):
+                    raise InvalidConstants(f"tau({v}) must be a real number", field="tau")
             if tau < self.c:
                 raise _invalid(
                     "tau", f"tau({v}) is below C", "tau({}) = {} is below C = {}",

@@ -1,8 +1,37 @@
+import faulthandler
+import os
 import random
 
 import pytest
 
 from raagmcg import DefiningGraph, Syllable, Word, build_standard_realization
+
+# A test still running after this many seconds ends the run with the
+# traceback of every thread, so a loop that never ends fails by name
+# instead of hanging.  The slowest test takes about 2 s, and about 9 s
+# under the tracer of tests/coverage.py.
+TEST_TIME_LIMIT = 60
+_stderr = None
+
+
+def pytest_configure(config):
+    # A test's own stderr is captured, and lost when the limit ends the
+    # process: the traceback goes to a copy of the real stderr, taken here,
+    # while no test runs.
+    global _stderr
+    _stderr = os.dup(2)
+
+
+def pytest_unconfigure(config):
+    os.close(_stderr)
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    faulthandler.dump_traceback_later(TEST_TIME_LIMIT, exit=True, file=_stderr)
+    yield
+    faulthandler.cancel_dump_traceback_later()
+
 
 PENTAGON_EDGES = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")]
 

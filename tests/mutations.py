@@ -9,11 +9,13 @@ Run from anywhere, with pytest installed:
 For each entry the script copies ``src/`` to a temporary directory,
 replaces the entry's old text (which must occur exactly once in its file)
 with the new text, and runs pytest on the entry's test ids with
-``PYTHONPATH`` on the copy.  A nonzero pytest exit kills the mutation; a
-zero exit lets it survive.  An old text that is missing or occurs twice
-is an error, so a refactor of the code an entry names must update the
-entry instead of dropping it silently.  Before any mutation, every named
-test must pass on the unedited copy, or a kill would prove nothing.
+``PYTHONPATH`` on the copy.  A nonzero pytest exit kills the mutation, and
+so does a run that is stopped after ``TIMEOUT`` seconds (a mutant that
+makes a loop endless); a zero exit lets it survive.  An old text that is
+missing or occurs twice is an error, so a refactor of the code an entry
+names must update the entry instead of dropping it silently.  Before any
+mutation, every named test must pass on the unedited copy, or a kill
+would prove nothing.
 
 The file name has no ``test_`` prefix, so tier-1 does not collect it.
 Exits 0 when every entry is killed and 1 otherwise.
@@ -132,6 +134,13 @@ MUTATIONS = [
         "            _check_number(name, value)\n        if self.k < 20:",
         "            pass\n        if self.k < 20:",
         ("tests/test_subsurface_map.py::test_hand_built_constants_that_are_not_finite_numbers_are_typed",),
+    ),
+    Mutation(
+        "constants-other-reals",
+        "subsurface_map.py",
+        "if not isinstance(value, Real):",
+        "if True:",
+        ("tests/test_subsurface_map.py::test_constants_accept_a_real_that_is_neither_int_nor_float",),
     ),
     Mutation(
         "constants-d-sign",
@@ -374,6 +383,35 @@ MUTATIONS = [
         "minimal = {n: True for n in concatenations}",
         ("tests/test_classification.py::test_verify_reports_unordered_or_collapsed_powers_as_failures",),
     ),
+    # Niceness of a realization: one-sided incidence is nesting, and the
+    # mismatch message names which way disjointness and commuting disagree.
+    Mutation(
+        "niceness-nesting-test",
+        "realization.py",
+        "if (a.core in b.intersects) != overlap:",
+        "if (a.core in b.intersects) == overlap:",
+        ("tests/test_realization.py::test_one_sided_incidence_is_nesting",),
+    ),
+    Mutation(
+        "niceness-mismatch-messages",
+        "realization.py",
+        "if overlap else",
+        "if not overlap else",
+        (
+            "tests/test_realization.py::test_overlap_on_edge_is_mismatch",
+            "tests/test_realization.py::test_disjoint_on_non_edge_is_mismatch",
+        ),
+    ),
+    # The move-graph oracle: a word it has seen goes back on the frontier,
+    # so swapping two equal syllables never ends the search.  The named
+    # test hangs, and the time limit of the run kills it.
+    Mutation(
+        "oracle-seen-test",
+        "words.py",
+        "if nxt not in seen:",
+        "if nxt in seen:",
+        ("tests/test_acceptance.py::test_normalization_matches_exhaustive_oracle",),
+    ),
     # The CLI: an answer past the int-to-str digit limit is IntegerTooLong.
     Mutation(
         "emit-json-digit-limit",
@@ -426,14 +464,23 @@ MUTATIONS = [
 ]
 
 
-def pytest_exit(src: Path, tests) -> int:
+# Seconds one pytest run may take: the run of every named test on the
+# unedited copy takes about 12 s, and a mutant's run a few seconds.
+TIMEOUT = 40
+
+
+def pytest_exit(src: Path, tests) -> int | None:
+    """The pytest exit code, or None when the run is stopped at TIMEOUT."""
     # -o pythonpath= drops the pyproject setting that puts the repository's
     # own src/ ahead of PYTHONPATH.
     env = {**os.environ, "PYTHONPATH": str(src)}
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
                "-o", "pythonpath=", *tests]
-    return subprocess.run(command, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL).returncode
+    try:
+        return subprocess.run(command, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT).returncode
+    except subprocess.TimeoutExpired:
+        return None
 
 
 def main(names: list[str]) -> int:
@@ -446,7 +493,7 @@ def main(names: list[str]) -> int:
         clean = Path(tmp, "clean")
         shutil.copytree(ROOT / "src", clean, ignore=shutil.ignore_patterns("__pycache__"))
         tests = sorted({t for m in chosen for t in m.tests})
-        if pytest_exit(clean, tests):
+        if pytest_exit(clean, tests) != 0:
             print("the named tests fail on the unedited source", file=sys.stderr)
             return 1
         survived = 0
@@ -460,9 +507,10 @@ def main(names: list[str]) -> int:
                       file=sys.stderr)
                 return 1
             path.write_text(text.replace(m.old, m.new))
-            killed = pytest_exit(copy, m.tests) != 0
-            survived += not killed
-            print(f"{'killed' if killed else 'SURVIVED'}  {m.name}")
+            code = pytest_exit(copy, m.tests)
+            survived += code == 0
+            print(f"{'SURVIVED' if code == 0 else 'killed'}  {m.name}"
+                  + (f" (timed out after {TIMEOUT} s)" if code is None else ""))
             shutil.rmtree(copy)
     print(f"{len(chosen) - survived} of {len(chosen)} mutations killed")
     return 1 if survived else 0

@@ -29,8 +29,8 @@ import pytest
 
 from raagmcg import (
     DefiningGraph, check_order_embedding, cyclically_reduce, default_constants,
-    in_special_subgroup, make_certificate, minimal_representatives, normalize, power_shift_map,
-    syllable_order, syllable_subsurface_map, word_from_pairs,
+    in_special_subgroup, is_minimal, make_certificate, minimal_representatives, normalize,
+    parse_word, power_shift_map, syllable_order, syllable_subsurface_map, word_from_pairs,
 )
 from raagmcg.words import heap_masks
 
@@ -88,6 +88,13 @@ LAYERS = {
     # the complement graph; the square's canonical order is read off.
     "power_shift_map":
         lambda word: partial(power_shift_map, cyclically_reduce(word)[0], 2, 3),
+    "parse_word": lambda word: partial(parse_word, str(word), word.graph),
+    "str(Word)": lambda word: partial(str, word),
+    "SyllableOrder.to_json_dict": lambda word: syllable_order(word).to_json_dict,
+    "is_minimal": lambda word: partial(is_minimal, word),
+    # Both words are cyclically reduced already: a round tries every
+    # candidate, and none lowers the count.
+    "cyclically_reduce": lambda word: partial(cyclically_reduce, word),
 }
 
 

@@ -69,8 +69,10 @@ def test_overlap_on_edge_is_mismatch():
         reference_curves=("gamma_a", "gamma_b", "tau_a", "tau_b"),
         ambient_label="custom",
     )
-    with pytest.raises(DisjointnessMismatch):
+    with pytest.raises(DisjointnessMismatch) as err:
         validate_realization(bad)
+    assert err.value.message == "X_a and X_b overlap but 'a', 'b' commute"
+    assert err.value.details == {"i": "a", "j": "b"}
 
 
 def test_disjoint_on_non_edge_is_mismatch():
@@ -84,8 +86,10 @@ def test_disjoint_on_non_edge_is_mismatch():
         reference_curves=("gamma_a", "gamma_b", "tau_a", "tau_b"),
         ambient_label="custom",
     )
-    with pytest.raises(DisjointnessMismatch):
+    with pytest.raises(DisjointnessMismatch) as err:
         validate_realization(bad)
+    assert err.value.message == "X_a and X_b are disjoint but 'a', 'b' do not commute"
+    assert err.value.details == {"i": "a", "j": "b"}
 
 
 def test_one_sided_incidence_is_nesting():
@@ -99,8 +103,10 @@ def test_one_sided_incidence_is_nesting():
         reference_curves=("gamma_a", "gamma_b", "tau_a", "tau_b"),
         ambient_label="custom",
     )
-    with pytest.raises(NestingDetected):
+    with pytest.raises(NestingDetected) as err:
         validate_realization(bad)
+    assert err.value.message == "X_a and X_b intersect without overlapping"
+    assert err.value.details == {"i": "a", "j": "b"}
 
 
 def test_duplicate_subsurface_is_duplicate_vertex():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -210,6 +211,14 @@ def test_constants_reject_bad_shape(pentagon):
         with pytest.raises(InvalidConstants, match="tau must be a mapping") as err:
             Constants.create(pentagon, tau=tau)
         assert err.value.details == {"field": "tau"}
+
+
+def test_constants_accept_a_real_that_is_neither_int_nor_float(pentagon):
+    # A Fraction is a numbers.Real: K = 10 + 20 + 2 * 5/2, and C and every
+    # tau default to 2 * K, so each check meets a Fraction.
+    constants = Constants.create(pentagon, d=Fraction(5, 2))
+    assert constants.k == 35 and isinstance(constants.k, Fraction)
+    assert constants.tau == dict.fromkeys(pentagon.vertices, 70)
 
 
 def test_hand_built_constants_out_of_float_range_are_typed(pentagon):
