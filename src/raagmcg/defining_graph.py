@@ -12,6 +12,7 @@ vertices is kept: it is the tie-breaking order for all canonical forms.
 from __future__ import annotations
 
 import json
+import re
 from functools import cached_property, partial
 from itertools import combinations
 from operator import attrgetter
@@ -22,12 +23,21 @@ from .errors import (
 )
 
 
-def _unquotable(vertex: str) -> MalformedGraph:
-    # DOT output writes every label between double quotes.
-    return MalformedGraph(
-        f"graph vertex {vertex!r} holds '\"' or '\\', which DOT output cannot quote",
-        key="vertices", vertex=vertex,
-    )
+_BREAKS = re.compile(r"[\s^#]")  # what the word grammar and syllable id labels split on
+
+
+def _check_label(vertex) -> None:
+    """Raise MalformedGraph unless the vertex is a string that the word
+    grammar reads back (no whitespace or '^'), that a syllable id's
+    label keeps apart from its exponent and rank (no '#'), and that DOT
+    output can quote (no '"' or '\\')."""
+    if not isinstance(vertex, str) or _BREAKS.search(vertex):
+        problem = "is not a string without whitespace, '^' or '#'"
+    elif '"' in vertex or "\\" in vertex:
+        problem = "holds '\"' or '\\', which DOT output cannot quote"
+    else:
+        return
+    raise MalformedGraph(f"graph vertex {vertex!r} {problem}", key="vertices", vertex=vertex)
 
 
 class Frozen:
@@ -87,14 +97,8 @@ class DefiningGraph(Frozen):
         for key in ("vertices", "edges"):
             if not isinstance(data.get(key), list):
                 raise MalformedGraph(f"graph JSON needs a list under {key!r}", key=key)
-        for vertex in data["vertices"]:
-            if not isinstance(vertex, str) or any(c.isspace() or c in "^#" for c in vertex):
-                raise MalformedGraph(
-                    f"graph vertex {vertex!r} is not a string without whitespace, '^' or '#'",
-                    key="vertices", vertex=vertex,
-                )
-            if '"' in vertex or "\\" in vertex:  # validate checks too, after the edges
-                raise _unquotable(vertex)
+        for vertex in data["vertices"]:  # validate checks too, after the edges
+            _check_label(vertex)
         for edge in data["edges"]:
             if not (isinstance(edge, list) and len(edge) == 2
                     and all(isinstance(v, str) for v in edge)):
@@ -114,10 +118,9 @@ class DefiningGraph(Frozen):
         for v in self.vertices:
             if not v:
                 raise DuplicateVertex("empty vertex label", label=v)
+            _check_label(v)  # before the set lookup, which needs a hashable label
             if v in seen:
                 raise DuplicateVertex(f"duplicate vertex {v!r}", label=v)
-            if '"' in v or "\\" in v:
-                raise _unquotable(v)
             seen.add(v)
         # Edges and endpoints in sorted order, so the one reported does not
         # hang on the hash seed.  They compare as text, so an endpoint that
@@ -177,8 +180,8 @@ class DefiningGraph(Frozen):
         generators that do not commute with it: the ones whose syllables
         never pass a syllable of i.  It is the one source of the
         dependence relation for the words module: the greedy pass of the
-        normal form, ``heap_masks`` and ``minimal_representatives`` read
-        it.  Computed on first use, not when the graph is built."""
+        normal form, ``heap_masks`` and ``linear_extensions`` read it.
+        Computed on first use, not when the graph is built."""
         return tuple([
             tuple([j for j, commutes in enumerate(row) if i == j or not commutes])
             for i, row in enumerate(self.commutation_matrix)

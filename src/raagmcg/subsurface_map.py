@@ -188,7 +188,8 @@ def check_order_embedding(word: Word) -> CheckResult:
         when ``outside[v]`` misses bits i..j-1.  Those bands grow with j,
         so if some j fails with i, the next occurrence of v after i
         fails with it too.  The answer is the least i that fails with
-        its next occurrence: O(k) mask operations.
+        its next occurrence, the lowest bit of ``positions[v]`` above i:
+        O(k) mask operations.
       * The second test goes row by row, j ascending.  The syllables
         before j and unordered with it are the bits of
         ``((1 << j) - 1) & ~below[j]``, read lowest first, and each pair
@@ -204,16 +205,9 @@ def check_order_embedding(word: Word) -> CheckResult:
     order = syllable_order(word)
     ids, below = order.elements, order.below
     positions: dict[str, int] = {}  # bit p set when syllable p has the generator
-    last: dict[str, int] = {}  # the last position of each generator so far
-    after = [0] * len(ids)  # the next position of the same generator, 0 if none
     for p, s in enumerate(ids):
         v = s.generator
-        if v in last:
-            after[last[v]] = p
-            positions[v] |= 1 << p
-        else:
-            positions[v] = 1 << p
-        last[v] = p
+        positions[v] = positions[v] | 1 << p if v in positions else 1 << p
     outside = {}
     for v in positions:
         star = word.graph.star(v)
@@ -223,11 +217,11 @@ def check_order_embedding(word: Word) -> CheckResult:
                 mask |= at
         outside[v] = mask
     for i, s in enumerate(ids):
-        j = after[i]
-        if j and not outside[s.generator] & ((1 << j) - (1 << i)):
-            return CheckResult(
-                False, f"{s.label()} and {ids[j].label()} map to the same subsurface"
-            )
+        later = positions[s.generator] & -(2 << i)  # the syllables of its generator after i
+        nxt = later & -later  # the next one, 0 if none
+        if nxt and not outside[s.generator] & (nxt - (1 << i)):
+            t = ids[nxt.bit_length() - 1]
+            return CheckResult(False, f"{s.label()} and {t.label()} map to the same subsurface")
     position = {1 << p: p for p in range(len(ids))}  # a lowest bit's position
     found = None  # the best failure so far: (s, t) non-commuting, or (s, None)
     bound = -1  # the positions i below the best failing i

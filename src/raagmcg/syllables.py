@@ -29,9 +29,11 @@ and no normal form is computed twice.  ``heap_masks`` takes a minimal
 word, canonical or not, and ``_find_reduction`` the heap of a canonical
 one, which cyclic reduction builds once and edits across its rounds: a
 round that changes the canonical order reads the new one off the masks,
-so a reduction normalizes only the word and the conjugator.  A shift map
-reads the canonical order of w^m off the heap of the concatenation of m
-copies of w, which is minimal, so only w is normalized.
+as the first order of ``words.linear_extensions`` on the live
+positions, so a reduction normalizes only the word and the conjugator.
+A shift map reads the canonical order of w^m the same way off the heap
+of the concatenation of m copies of w, which is minimal, so only w is
+normalized.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import Sequence
 
 from .defining_graph import Frozen
 from .errors import IntegerTooLong, NotCyclicallyReduced, ShiftMapUndefined
-from .words import Syllable, Word, concatenated_power, heap_masks, normalize
+from .words import Syllable, Word, concatenated_power, heap_masks, linear_extensions, normalize
 
 
 @total_ordering
@@ -196,8 +198,8 @@ def power_shift_map(word: Word, m: int, n: int) -> dict[SyllableId, SyllableId]:
 
     The concatenation of m copies of w is therefore a minimal word of
     w^m, and no normal form of w^m is computed: ``heap_masks`` of a
-    minimal word is its heap, and on that heap Kahn's algorithm keyed by
-    vertex index (``_LiveHeap.reorder``) lists the canonical order, as
+    minimal word is its heap, and the first linear extension of that
+    heap (``_LiveHeap.reorder``) is the canonical order, as
     ``cyclically_reduce`` argues.  A syllable's id does not depend on the
     minimal word it is read from, so the keys, the values and the order
     of the keys are those read off the normal form of w^m.
@@ -240,8 +242,10 @@ class _LiveHeap:
     ``heap_masks`` masks ``below`` by position, and the positions still in
     the word, in order, as ``order`` and as the bit mask ``live``.
     ``order`` starts as the word's own order and is the canonical order
-    after ``reorder()``.  Cyclic reduction edits the heap of a canonical
-    word; ``power_shift_map`` reorders that of a concatenated power."""
+    after ``reorder()``, the first linear extension of the live heap,
+    which ``words.linear_extensions`` lists.  Cyclic reduction edits the
+    heap of a canonical word; ``power_shift_map`` reorders that of a
+    concatenated power."""
 
     def __init__(self, word: Word):
         self.graph = word.graph
@@ -255,22 +259,8 @@ class _LiveHeap:
         self.live &= ~(1 << position)
 
     def reorder(self) -> None:
-        # Kahn's algorithm on the live masks, keyed by vertex index; see
-        # cyclically_reduce.
-        unplaced = [[] for _ in self.graph.vertices]  # each generator's live syllables, last first
-        for p in reversed(self.order):
-            unplaced[self.graph.index[self.syllables[p].generator]].append(p)
-        left, ready, touched, self.order = self.live, 0, range(len(unplaced)), []
-        while True:
-            for h in touched:  # emitting g can make ready only a generator in dependence[g]
-                if unplaced[h] and not self.below[unplaced[h][-1]] & left:
-                    ready |= 1 << h
-            if not ready:
-                return
-            g = (ready & -ready).bit_length() - 1  # the ready generator of least index
-            p = unplaced[g].pop()
-            self.order.append(p)
-            ready, left, touched = ready ^ 1 << g, left ^ 1 << p, self.graph.dependence[g]
+        # The first linear extension of the live heap; see cyclically_reduce.
+        self.order = linear_extensions(self.syllables, self.order, self.below, self.graph, 1)[0]
 
     def remaining(self) -> tuple[Syllable, ...]:
         return tuple([self.syllables[p] for p in self.order])
@@ -348,13 +338,15 @@ def cyclically_reduce(word: Word) -> tuple[Word, Word]:
     word left, which is minimal.  On a minimal word ``normalize`` merges
     nothing, and its greedy pass emits, among the syllables with nothing
     pending below them, the one with the smallest vertex index.  That is
-    Kahn's algorithm keyed by vertex index (``_LiveHeap.reorder``): the
-    ready syllables are the live ones whose mask meets no unplaced live
-    position; they carry distinct generators, as two syllables of one
-    generator are ordered, so the index breaks every tie; and emitting a
-    syllable of generator g can only make ready the first unplaced
-    syllable of a generator in ``dependence[g]``, as a cover of a heap
-    joins two dependent syllables.  So a reduction builds one heap, and
+    Kahn's algorithm keyed by vertex index, the first order of
+    ``words.linear_extensions`` on the live positions
+    (``_LiveHeap.reorder``): the ready syllables are the live ones whose
+    mask meets no unplaced live position; they carry distinct
+    generators, as two syllables of one generator are ordered, so the
+    index breaks every tie; and emitting a syllable of generator g can
+    only make ready the first unplaced syllable of a generator in
+    ``dependence[g]``, as a cover of a heap joins two dependent
+    syllables.  So a reduction builds one heap, and
     normalizes at most the word and, once at the end, the conjugator,
     the product of the rounds' factors.
 

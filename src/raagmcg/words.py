@@ -2,8 +2,9 @@
 
 This is the engine behind every other module: minimal-syllable normal
 forms, group arithmetic, the heap of a minimal word (``heap_masks``,
-the one builder of the syllable order), enumeration of all minimal
-representatives as the linear extensions of that heap, and the
+the one builder of the syllable order), its linear extensions
+(``linear_extensions``, the one walk of its ready set: the minimal
+representatives, the first of them the canonical order), and the
 exhaustive breadth-first oracle over moves (1)-(3) used to certify the
 normal form at test scale.
 
@@ -32,10 +33,12 @@ blocked set, the union of ``DefiningGraph.dependence`` over the pending
 syllables before it.  Each tuple also holds its own generator, which
 blocks nothing more in a minimal word (see ``_left_greedy``).  So the
 greedy phase costs O(k^2) unions of dependence tuples for k syllables.
-A linear pass, Kahn's algorithm on the heap keyed by vertex index,
-picks the same syllables.  It waits until the benchmark keeps a bounded
-record per operation: today it keeps every per-pass latency, so a
-faster normal form shows there as more memory.
+On a minimal word, the first order of ``linear_extensions``, Kahn's
+algorithm on the heap keyed by vertex index, picks the same syllables
+with O(k·n) mask operations; cyclic reduction and shift maps read the
+canonical order that way.  As the normal form it waits until the
+benchmark keeps a bounded record per operation: today it keeps every
+per-pass latency, so a faster normal form shows there as more memory.
 
 The first phase alone, the free reduction ``_minimal_pairs``, already
 gives a minimal word, and every minimal word of an element has the same
@@ -452,61 +455,54 @@ def heap_masks(word: Word) -> list[int]:
     return below
 
 
-def minimal_representatives(word: Word, cap: int = DEFAULT_CAP) -> list[Word]:
-    """All minimal-syllable words representing the element, sorted by
-    their (vertex index, exponent) pairs.
+def linear_extensions(syllables, positions, below, graph, limit) -> list[list[int]]:
+    """The first ``limit`` (at least 1) linear extensions, as lists of
+    positions, of the heap on the syllables at ``positions`` of a
+    minimal word, sorted by the vertex indices of their syllables.  ``below`` holds the word's
+    ``heap_masks`` by position, and ``positions`` lists the positions
+    that take part, in one minimal order; read on those positions, the
+    masks must be a heap, as on all of them or on the syllables left
+    after dropping minimal or maximal ones.
 
-    Minimal words differ from the normal form only by move-(3) swaps, and
-    the words so reached are exactly the linear extensions of its heap
-    (Cartier-Foata 1969): each word lists every syllable after those below
-    it.  They are listed depth first with an explicit stack (Varol-Rotem
-    1981), one syllable at a time from the ready set, the syllables whose
-    lower syllables are all placed.  The ready set holds at most one
-    syllable per generator, the first unplaced one, and two ready
-    syllables have distinct commuting generators, as dependent ones are
-    ordered.  So each depth keeps it as an int mask of generators, next
-    to the mask of those not yet tried there.  Placing a syllable of
+    The extensions are listed depth first with an explicit stack
+    (Varol-Rotem 1981), one syllable at a time from the ready set, the
+    syllables whose lower syllables are all placed.  The ready set holds
+    at most one syllable per generator, the first unplaced one, and two
+    ready syllables have distinct commuting generators, as dependent ones
+    are ordered.  So each depth keeps it as an int mask of generators,
+    next to the mask of those not yet tried there.  Placing a syllable of
     generator g can only make ready the next syllable of a generator in
     ``dependence[g]``.  The choices are taken lowest bit first, that is
-    in increasing generator index, and two words first differ at two
+    in increasing generator index, and two extensions first differ at two
     ready syllables, so at two generators: the list comes out sorted,
-    each word once.  Each word is built from the normal form's own
-    syllables, already checked against the graph, so it skips the check
-    of ``Word(...)``.
-
-    Raises CapExceeded once more than ``cap`` words are found; a word
-    with one representative returns it for any ``cap``.
-    """
-    canonical = normalize(word)
-    graph, syllables = canonical.graph, canonical.syllables
-    k, n = len(syllables), len(graph.vertices)
-    below, dependence, index = heap_masks(canonical), graph.dependence, graph.index
-    gens = [index[s.generator] for s in syllables]
+    each extension once.  The first one is the canonical order, the
+    greedy pass of ``normalize`` on a minimal word.  Reaching it takes
+    O(k·n) mask operations for k positions on n generators."""
+    index, dependence = graph.index, graph.dependence
+    n, k = len(graph.vertices), len(positions)
     first = [-1] * n  # the first unplaced syllable of each generator
-    after = [-1] * k  # the next syllable of the same generator
-    for p in range(k - 1, -1, -1):
-        after[p], first[gens[p]] = first[gens[p]], p
+    after = [-1] * len(syllables)  # the next syllable of the same generator
+    gens = after[:]  # the generator of each syllable at ``positions``
+    unplaced = 0  # bit p set while the syllable at p is not placed
+    for p in reversed(positions):
+        g = gens[p] = index[syllables[p].generator]
+        after[p], first[g] = first[g], p
+        unplaced |= 1 << p
     generator_of = {1 << g: g for g in range(n)}  # a lowest bit's generator
-    unplaced = (1 << k) - 1
     path = [0] * k  # the syllables placed, by depth
     ready = [0] * (k + 1)  # the generators of the ready syllables, by depth
     for g, p in enumerate(first):
-        if p >= 0 and not below[p]:
+        if p >= 0 and not below[p] & unplaced:
             ready[0] |= 1 << g
     untried = ready[:]  # the generators of ready[depth] not chosen there yet
-    reps: list[Word] = []
-    count = depth = 0
+    paths: list[list[int]] = []
+    depth = 0
     while depth >= 0:
         if depth == k:
-            if count and count >= cap:
-                raise CapExceeded(f"more than {cap} minimal representatives", cap=cap)
-            count += 1
-            # Word._from_checked inline: a call per representative raises the
-            # benchmark's commuting-blowup calls per operation by 9%.
-            rep = object.__new__(Word)
-            object.__setattr__(rep, "syllables", tuple(map(syllables.__getitem__, path)))
-            object.__setattr__(rep, "graph", graph)
-            reps.append(rep)
+            paths += [path[:]]
+            limit -= 1
+            if not limit:
+                break
         else:
             m = untried[depth]
             if m:
@@ -529,7 +525,38 @@ def minimal_representatives(word: Word, cap: int = DEFAULT_CAP) -> list[Word]:
             p = path[depth]
             first[gens[p]] = p
             unplaced |= 1 << p
-    return reps
+    return paths
+
+
+def minimal_representatives(word: Word, cap: int = DEFAULT_CAP) -> list[Word]:
+    """All minimal-syllable words representing the element, sorted by
+    their (vertex index, exponent) pairs.
+
+    Minimal words differ from the normal form only by move-(3) swaps, and
+    the words so reached are exactly the linear extensions of its heap
+    (Cartier-Foata 1969): each word lists every syllable after those below
+    it.  ``linear_extensions`` lists them lowest vertex index first, the
+    order of the sorted words.  Each word is built from the normal
+    form's own syllables, already checked against the graph, so it skips
+    the check of ``Word(...)``.
+
+    Raises CapExceeded once more than ``cap`` words are found; a word
+    with one representative returns it for any ``cap``.
+    """
+    canonical = normalize(word)
+    graph, syllables = canonical.graph, canonical.syllables
+    limit = max(cap, 1)
+    paths = linear_extensions(syllables, range(len(syllables)), heap_masks(canonical), graph,
+                              limit + 1)
+    if len(paths) > limit:
+        raise CapExceeded(f"more than {cap} minimal representatives", cap=cap)
+    for i, path in enumerate(paths):
+        # Word._from_checked inline: a call per representative raises the
+        # benchmark's commuting-blowup calls per operation by 9%.
+        rep = paths[i] = object.__new__(Word)
+        object.__setattr__(rep, "syllables", tuple(map(syllables.__getitem__, path)))
+        object.__setattr__(rep, "graph", graph)
+    return paths
 
 
 def _move_neighbors(pairs: tuple[Pair, ...], comm) -> Iterator[tuple[Pair, ...]]:

@@ -43,25 +43,37 @@ class Mutation:
     tests: tuple[str, ...]  # pytest node ids, relative to the repository root
 
 
+WALK_TEST = (
+    "tests/test_representatives.py::"
+    "test_walk_on_the_syllables_left_after_a_down_set_matches_swap_closure"
+)
 EMBEDDING_TEST = (
     "tests/test_subsurface_map.py::test_order_embedding_matches_the_pair_loops_on_corrupted_heaps"
 )
 
 MUTATIONS = [
-    # Cyclic reduction: the round that reads the canonical order off the masks.
+    # Cyclic reduction: the round that reads the canonical order off the
+    # masks, the first order of the walk on the live syllables, whose masks
+    # still hold the bits of the dropped ones.
     Mutation(
         "reorder-ready-test",
-        "syllables.py",
-        "if unplaced[h] and not self.below[unplaced[h][-1]] & left:",
-        "if unplaced[h] and not self.below[unplaced[h][-1]] & self.live:",
-        ("tests/test_cyclic_reduction.py::test_reordered_rounds_match_normalize",),
+        "words.py",
+        "if p >= 0 and not below[p] & unplaced:",
+        "if p >= 0 and not below[p]:",
+        (
+            "tests/test_cyclic_reduction.py::test_reordered_rounds_match_normalize",
+            WALK_TEST,
+        ),
     ),
     Mutation(
         "reorder-key",
-        "syllables.py",
-        "g = (ready & -ready).bit_length() - 1",
-        "g = ready.bit_length() - 1",
-        ("tests/test_cyclic_reduction.py::test_reordered_rounds_match_normalize",),
+        "words.py",
+        "low = m & -m",
+        "low = m & -m if m & m - 1 == 0 else m & m - 1 & -(m & m - 1)",
+        (
+            "tests/test_cyclic_reduction.py::test_reordered_rounds_match_normalize",
+            WALK_TEST,
+        ),
     ),
     Mutation(
         "reorder-trigger",
@@ -169,7 +181,7 @@ MUTATIONS = [
     Mutation(
         "embedding-same-subsurface",
         "subsurface_map.py",
-        "if j and not outside[s.generator] & ((1 << j) - (1 << i)):",
+        "if nxt and not outside[s.generator] & (nxt - (1 << i)):",
         "if False:",
         (EMBEDDING_TEST,),
     ),
@@ -194,8 +206,8 @@ MUTATIONS = [
     Mutation(
         "embedding-next-but-one",
         "subsurface_map.py",
-        "        j = after[i]\n",
-        "        j = after[i] and after[after[i]]\n",
+        "nxt = later & -later",
+        "later &= later - 1; nxt = later & -later",
         (EMBEDDING_TEST,),
     ),
     Mutation(
@@ -340,6 +352,14 @@ MUTATIONS = [
         "tuple(map(syllables.__getitem__, path))",
         "tuple(map(syllables.__getitem__, sorted(path)))",
         ("tests/test_representatives.py::test_heap_walk_matches_swap_closure_on_random_words",),
+    ),
+    # The walk stops once it has listed ``limit`` orders.
+    Mutation(
+        "walk-limit-countdown",
+        "words.py",
+        "limit -= 1",
+        "limit -= 2",
+        (WALK_TEST,),
     ),
     Mutation(
         "representatives-ready-test",

@@ -12,7 +12,11 @@ all vertex pairs are edges (the ``random-long`` graph of seed 1), with
 exponents ±1 and ±2.  Each input is built before the traced call, so a
 quadratic normal form does not hide inside a linear layer's count;
 ``power_shift_map`` gets the word's cyclic reduction, built the same way.
-``normalize`` itself is still quadratic and has no guard here.
+
+``normalize`` and ``invert`` are still quadratic, and are guarded as
+such: on random words of 125 and 500 syllables over the same graph, each
+reads about ×13 (×16 in the limit), and a greedy pass made cubic read
+×52.  A guard fails above ×24.
 
 ``minimal_representatives`` is guarded per representative, on
 ``(x y)^n u`` in F2×F2 at n = 15 and 60: 31 and 121 syllables, and as
@@ -29,13 +33,16 @@ import pytest
 
 from raagmcg import (
     DefiningGraph, check_order_embedding, cyclically_reduce, default_constants,
-    in_special_subgroup, is_minimal, make_certificate, minimal_representatives, normalize,
-    parse_word, power_shift_map, syllable_order, syllable_subsurface_map, word_from_pairs,
+    in_special_subgroup, invert, is_minimal, make_certificate, minimal_representatives,
+    normalize, parse_word, power_shift_map, syllable_order, syllable_subsurface_map,
+    word_from_pairs,
 )
 from raagmcg.words import heap_masks
 
 SIZES = (250, 1000)  # syllables in; 239 and 948 canonical syllables out
 MAX_RATIO = 6
+QUADRATIC_SIZES = (125, 500)  # syllables in, not normalized
+MAX_QUADRATIC_RATIO = 24
 
 
 def _graph():
@@ -45,10 +52,10 @@ def _graph():
     return DefiningGraph.from_data(names, sorted(rng.sample(pairs, len(pairs) // 2)))
 
 
-def _canonical(graph, k):
+def _random_word(graph, k):
     rng = random.Random(11)
     pairs = [(rng.choice(graph.vertices), rng.choice((-2, -1, 1, 2))) for _ in range(k)]
-    return normalize(word_from_pairs(graph, pairs))
+    return word_from_pairs(graph, pairs)
 
 
 def line_events(call) -> int:
@@ -101,13 +108,22 @@ LAYERS = {
 @pytest.fixture(scope="module")
 def words():
     graph = _graph()
-    return [_canonical(graph, k) for k in SIZES]
+    return [normalize(_random_word(graph, k)) for k in SIZES]
 
 
 @pytest.mark.parametrize("layer", LAYERS)
 def test_layer_is_linear_in_line_events(words, layer):
     small, large = (line_events(LAYERS[layer](word)) for word in words)
     assert large <= MAX_RATIO * small, (layer, small, large, large / small)
+
+
+@pytest.mark.parametrize("layer", [normalize, invert], ids=lambda f: f.__name__)
+def test_layer_is_quadratic_in_line_events(layer):
+    graph = _graph()
+    small, large = (
+        line_events(partial(layer, _random_word(graph, k))) for k in QUADRATIC_SIZES
+    )
+    assert large <= MAX_QUADRATIC_RATIO * small, (small, large, large / small)
 
 
 def test_minimal_representatives_is_linear_per_representative():

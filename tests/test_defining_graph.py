@@ -68,11 +68,12 @@ def test_duplicate_vertex_rejected():
         DefiningGraph.from_data(["a", "a"], [])
 
 
-@pytest.mark.parametrize("vertex", ['a"b', "a\\b", '"', "\\"])
+@pytest.mark.parametrize("vertex", ['a"b', "a\\b", '"', "\\", "a b", "c^2", "d#1", "e\u2003", 1])
 def test_unquotable_label_rejected_by_every_constructor(vertex):
-    # DOT output writes labels between double quotes, so no constructor
-    # accepts a label holding '"' or '\\'; all raise the error of the JSON
-    # loader.
+    # DOT output writes labels between double quotes, the word grammar
+    # splits on whitespace and '^', and a syllable id's label on '#'; so
+    # no constructor accepts a label holding one of them, or one that is
+    # not a string, and all raise the error of the JSON loader.
     builds = (
         lambda: DefiningGraph.from_data(["b", vertex], [("b", vertex)]),
         lambda: DefiningGraph((vertex,), frozenset()),
