@@ -40,6 +40,10 @@ def _check_label(vertex) -> None:
     raise MalformedGraph(f"graph vertex {vertex!r} {problem}", key="vertices", vertex=vertex)
 
 
+def _edge_error(edge, shape: str) -> MalformedGraph:
+    return MalformedGraph(f"graph edge {edge!r} is not {shape}", key="edges", edge=edge)
+
+
 class Frozen:
     """The base of the package's immutable value classes.
 
@@ -88,7 +92,20 @@ class DefiningGraph(Frozen):
 
     @classmethod
     def from_data(cls, vertices: Sequence[str], edges: Iterable[Sequence[str]]) -> "DefiningGraph":
-        return cls(tuple(vertices), frozenset(frozenset(e) for e in edges))
+        """The graph on ``vertices`` with one edge per pair of vertex names
+        in ``edges`` (a two-letter string is such a pair).  An edge that is
+        not two hashable names raises MalformedGraph; ``validate`` checks
+        the rest."""
+        pairs = []
+        for edge in edges:
+            try:
+                pair = frozenset(edge) if len(edge) == 2 else None
+            except TypeError:  # no length, or an unhashable name
+                pair = None
+            if pair is None:
+                raise _edge_error(edge, "two hashable vertex names")
+            pairs += [pair]
+        return cls(tuple(vertices), frozenset(pairs))
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DefiningGraph":
@@ -102,10 +119,7 @@ class DefiningGraph(Frozen):
         for edge in data["edges"]:
             if not (isinstance(edge, list) and len(edge) == 2
                     and all(isinstance(v, str) for v in edge)):
-                raise MalformedGraph(
-                    f"graph edge {edge!r} is not a list of two vertex names",
-                    key="edges", edge=edge,
-                )
+                raise _edge_error(edge, "a list of two vertex names")
         return cls.from_data(data["vertices"], data["edges"])
 
     @classmethod
@@ -122,10 +136,14 @@ class DefiningGraph(Frozen):
             if v in seen:
                 raise DuplicateVertex(f"duplicate vertex {v!r}", label=v)
             seen.add(v)
-        # Edges and endpoints in sorted order, so the one reported does not
-        # hang on the hash seed.  They compare as text, so an endpoint that
-        # is not a string is reported, not compared.  A self-loop is a
-        # one-element edge.
+        # An edge is a frozenset of two vertices, or of one (a self-loop).
+        # Of the edges of another shape the least by repr is reported, and
+        # then edges and endpoints are read in sorted order, so the one
+        # reported does not hang on the hash seed.  They compare as text,
+        # so an endpoint that is not a string is reported, not compared.
+        malformed = [e for e in self.edges if e.__class__ is not frozenset or not 0 < len(e) < 3]
+        if malformed:
+            raise _edge_error(min(malformed, key=repr), "a frozenset of one or two vertices")
         for edge in sorted(map(partial(sorted, key=str), self.edges), key=str):
             if edge[0] == edge[-1]:
                 raise SelfLoop(f"self-loop at {edge[0]!r}", label=edge[0])
@@ -142,8 +160,7 @@ class DefiningGraph(Frozen):
     @cached_property
     def neighbors(self) -> dict[str, frozenset[str]]:
         nbrs: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for e in self.edges:
-            u, v = tuple(e)
+        for u, v in self.edges:  # validated: two distinct vertices each
             nbrs[u].add(v)
             nbrs[v].add(u)
         return {v: frozenset(s) for v, s in nbrs.items()}
@@ -168,8 +185,7 @@ class DefiningGraph(Frozen):
         rows = [[False] * n for _ in range(n)]
         for i, row in enumerate(rows):
             row[i] = True
-        for edge in self.edges:  # validated: two distinct vertices each
-            u, v = edge
+        for u, v in self.edges:  # validated: two distinct vertices each
             i, j = index[u], index[v]
             rows[i][j] = rows[j][i] = True
         return tuple([tuple(row) for row in rows])
@@ -202,12 +218,8 @@ class DefiningGraph(Frozen):
 
     @cached_property
     def _complement(self) -> "DefiningGraph":
-        comp = frozenset(
-            frozenset(p)
-            for p in combinations(self.vertices, 2)
-            if frozenset(p) not in self.edges
-        )
-        return DefiningGraph(self.vertices, comp)
+        pairs = map(frozenset, combinations(self.vertices, 2))
+        return DefiningGraph(self.vertices, frozenset([p for p in pairs if p not in self.edges]))
 
     def components(self, subset: Iterable[str]) -> tuple[tuple[str, ...], ...]:
         """Connected components of the induced subgraph on ``subset``.
@@ -218,23 +230,17 @@ class DefiningGraph(Frozen):
         sub = list(subset)
         for v in sub:
             self.require_vertex(v)
-        subset_set = set(sub)
-        unvisited = set(sub)
-        parts = []
-        for v in sorted(subset_set, key=self.index.get):
-            if v not in unvisited:
-                continue
-            stack = [v]
-            part = set()
-            unvisited.discard(v)
-            while stack:
-                u = stack.pop()
-                part.add(u)
-                for w in self.neighbors[u]:
-                    if w in subset_set and w in unvisited:
-                        unvisited.discard(w)
-                        stack.append(w)
-            parts.append(tuple(sorted(part, key=self.index.get)))
+        unvisited, parts = set(sub), []
+        for v in sorted(unvisited, key=self.index.get):
+            if v in unvisited:  # the least vertex of a new part
+                unvisited.discard(v)
+                part, stack = [v], [v]
+                while stack:
+                    found = self.neighbors[stack.pop()] & unvisited
+                    unvisited -= found
+                    part += found
+                    stack += found
+                parts += [tuple(sorted(part, key=self.index.get))]
         return tuple(parts)
 
     # -- serialization ---------------------------------------------------

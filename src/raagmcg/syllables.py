@@ -13,9 +13,9 @@ syllable, bit i of ``below[j]`` set when syllable i lies below syllable
 j.  ``SyllableOrder`` keeps those masks as they are:
 
   * the order is the masks, and its pair set is built only when read;
-  * the Hasse edges of j come from its predecessors, the last
-    syllable of each generator before j that lies below j: those below
-    no other predecessor;
+  * the Hasse edges of j are peeled off ``below[j]`` from the top:
+    the highest position left is a cover of j, and clearing it and its
+    own mask leaves the next one;
   * the minimal syllables have an empty mask, and the maximal ones are
     in no mask; they can be moved to the front and to the back.
 
@@ -27,10 +27,12 @@ Each public function normalizes its input, and ``normalize`` returns a
 canonical word as it is: a caller passes on the word it has normalized,
 and no normal form is computed twice.  ``heap_masks`` takes a minimal
 word, canonical or not, and ``_find_reduction`` the heap of a canonical
-one, which cyclic reduction builds once and edits across its rounds: a
-round that changes the canonical order reads the new one off the masks,
-as the first order of ``words.linear_extensions`` on the live
-positions, so a reduction normalizes only the word and the conjugator.
+one, which cyclic reduction builds once and edits across its rounds.
+It keeps the heap as plain values: the syllables and their masks by
+position, and the positions left, in order and as a bit mask.  A round
+that changes the canonical order reads the new one off the masks, as
+the first order of ``words.linear_extensions`` on the positions left,
+so a reduction normalizes only the word and the conjugator.
 A shift map reads the canonical order of w^m the same way off the heap
 of the concatenation of m copies of w, which is minimal, so only w is
 normalized.
@@ -116,32 +118,26 @@ class SyllableOrder(Frozen):
         """Transitive reduction: the Hasse diagram edges, ordered by the
         positions of their ends in ``elements``.
 
-        It needs ``below`` to be the heap of a minimal word whose
-        syllables ``elements`` lists in one minimal order, as
-        ``syllable_order`` builds it: i lies below j exactly when a chain
-        of syllables with equal or non-commuting generators leads from i
-        up to j.  So two syllables of one generator are ordered, and a
-        cover i of j has a generator h equal to or not commuting with
-        j's.  Then i is the last syllable of h before j: a later one
-        would lie above i and below j.  A predecessor p of j, the last
-        syllable of its generator before j that lies below j, is a cover
-        unless it lies below another predecessor, since a chain from p up
-        to j ends in a cover.  One walk keeps the last position of each
-        generator: O(k·n) mask operations for k syllables on n
-        generators, not O(k^2)."""
+        It needs only that ``below`` is transitively closed and that
+        ``elements`` lists a linear extension of it, as ``syllable_order``
+        builds it.  The covers of j are peeled off ``below[j]`` from the
+        top: take the highest position p left in the mask, record it, and
+        clear p and ``below[p]``.  Then p is a cover of j.  A syllable
+        between p and j would sit at a higher position and still be in
+        the mask, since it lies below a cover cleared before only if p
+        does too.  What is cleared lies below a cover, so it is no cover,
+        and the covers of j, pairwise incomparable, are never cleared.
+        One step per cover; in the heap of a minimal word the covers of j
+        have distinct generators, as two syllables of one generator are
+        ordered: O(k·n) mask operations for k syllables on n generators,
+        not O(k^2)."""
         ids, below = self.elements, self.below
-        last: dict[str, int] = {}  # the last position of each generator so far
-        lasts = last.values()  # a live view of it
         uppers: list[list[int]] = [[] for _ in ids]  # the covers above each position
-        for j, s in enumerate(ids):
-            mask, through = below[j], 0  # through: everything below a predecessor
-            for p in lasts:
-                if mask >> p & 1:
-                    through |= below[p]
-            for p in lasts:
-                if mask >> p & 1 and not through >> p & 1:
-                    uppers[p].append(j)
-            last[s.generator] = j
+        for j, mask in enumerate(below):
+            while mask:
+                p = mask.bit_length() - 1  # the highest position left below j
+                uppers[p].append(j)
+                mask &= ~(below[p] | 1 << p)
         return [(s, ids[j]) for s, js in zip(ids, uppers) for j in js]
 
     def to_json_dict(self) -> dict:
@@ -199,10 +195,11 @@ def power_shift_map(word: Word, m: int, n: int) -> dict[SyllableId, SyllableId]:
     The concatenation of m copies of w is therefore a minimal word of
     w^m, and no normal form of w^m is computed: ``heap_masks`` of a
     minimal word is its heap, and the first linear extension of that
-    heap (``_LiveHeap.reorder``) is the canonical order, as
-    ``cyclically_reduce`` argues.  A syllable's id does not depend on the
-    minimal word it is read from, so the keys, the values and the order
-    of the keys are those read off the normal form of w^m.
+    heap, the first order of ``words.linear_extensions`` on all its
+    positions, is the canonical order, as ``cyclically_reduce`` argues.
+    A syllable's id does not depend on the minimal word it is read from,
+    so the keys, the values and the order of the keys are those read off
+    the normal form of w^m.
     """
     integers = (isinstance(m, int) and isinstance(n, int)
                 and not isinstance(m, bool) and not isinstance(n, bool))
@@ -223,10 +220,10 @@ def power_shift_map(word: Word, m: int, n: int) -> dict[SyllableId, SyllableId]:
             support=support,
         )
     last = {(sid.generator, sid.exponent): sid for sid in syllable_ids(w)}
-    base = _LiveHeap(concatenated_power(w, m))
-    base.reorder()
+    base = concatenated_power(w, m)
+    order = linear_extensions(base.syllables, range(len(base)), heap_masks(base), w.graph, 1)[0]
     shift: dict[SyllableId, SyllableId] = {}
-    for sid in _ids_of_sequence(base.remaining()):
+    for sid in _ids_of_sequence([base.syllables[p] for p in order]):
         step = last[(sid.generator, sid.exponent)].occurrence
         shift[sid] = SyllableId(
             sid.generator, sid.exponent, sid.occurrence + (n - m) * step
@@ -237,40 +234,12 @@ def power_shift_map(word: Word, m: int, n: int) -> dict[SyllableId, SyllableId]:
 # -- cyclic reduction --------------------------------------------------------
 
 
-class _LiveHeap:
-    """A minimal word kept as its heap: ``syllables`` and the
-    ``heap_masks`` masks ``below`` by position, and the positions still in
-    the word, in order, as ``order`` and as the bit mask ``live``.
-    ``order`` starts as the word's own order and is the canonical order
-    after ``reorder()``, the first linear extension of the live heap,
-    which ``words.linear_extensions`` lists.  Cyclic reduction edits the
-    heap of a canonical word; ``power_shift_map`` reorders that of a
-    concatenated power."""
-
-    def __init__(self, word: Word):
-        self.graph = word.graph
-        self.syllables = list(word.syllables)
-        self.below = heap_masks(word)
-        self.order = list(range(len(self.syllables)))
-        self.live = (1 << len(self.syllables)) - 1
-
-    def remove(self, position: int) -> None:
-        self.order.remove(position)
-        self.live &= ~(1 << position)
-
-    def reorder(self) -> None:
-        # The first linear extension of the live heap; see cyclically_reduce.
-        self.order = linear_extensions(self.syllables, self.order, self.below, self.graph, 1)[0]
-
-    def remaining(self) -> tuple[Syllable, ...]:
-        return tuple([self.syllables[p] for p in self.order])
-
-
-def _find_reduction(heap: _LiveHeap) -> tuple[int, int] | None:
+def _find_reduction(syllables, below, order, live) -> tuple[int, int] | None:
     # The first strict decrease as (moved, target) positions: the moved
     # syllable goes around the word and merges into the target; see
-    # cyclically_reduce.
-    order, below, live, syllables = heap.order, heap.below, heap.live, heap.syllables
+    # cyclically_reduce.  The heap of a canonical word: its syllables and
+    # masks by position, and the positions left, in canonical order and
+    # as the bit mask ``live``.
     if not order:
         return None
     not_maximal = 0
@@ -339,8 +308,8 @@ def cyclically_reduce(word: Word) -> tuple[Word, Word]:
     nothing, and its greedy pass emits, among the syllables with nothing
     pending below them, the one with the smallest vertex index.  That is
     Kahn's algorithm keyed by vertex index, the first order of
-    ``words.linear_extensions`` on the live positions
-    (``_LiveHeap.reorder``): the ready syllables are the live ones whose
+    ``words.linear_extensions`` on the live positions, which replaces
+    ``order`` in that round: the ready syllables are the live ones whose
     mask meets no unplaced live position; they carry distinct
     generators, as two syllables of one generator are ordered, so the
     index breaks every tie; and emitting a syllable of generator g can
@@ -359,24 +328,30 @@ def cyclically_reduce(word: Word) -> tuple[Word, Word]:
     The rounds only shorten and always stop at a fixed point, so no
     conjugate has fewer syllables.
     """
-    current = _LiveHeap(normalize(word))
+    canonical = normalize(word)
+    graph, syllables, below = canonical.graph, list(canonical.syllables), heap_masks(canonical)
+    order = list(range(len(syllables)))  # the positions left, in canonical order
+    live = (1 << len(syllables)) - 1  # the same positions as a bit mask
     factors = []
-    while (move := _find_reduction(current)) is not None:
+    while (move := _find_reduction(syllables, below, order, live)) is not None:
         moved, target = move
-        s, t = current.syllables[moved], current.syllables[target]
-        moved_first = moved == current.order[0]
+        s, t = syllables[moved], syllables[target]
+        moved_first = moved == order[0]
         factors.append(s if moved_first else Syllable(s.generator, -s.exponent))
-        current.remove(moved)
+        order.remove(moved)
+        live ^= 1 << moved
         if s.exponent + t.exponent:
-            current.syllables[target] = Syllable(t.generator, s.exponent + t.exponent)
+            syllables[target] = Syllable(t.generator, s.exponent + t.exponent)
         else:
-            current.remove(target)
+            order.remove(target)
+            live ^= 1 << target
             if not moved_first:
-                current.reorder()
+                order = linear_extensions(syllables, order, below, graph, 1)[0]
     # The canonical word's checked syllables, kept canonical by the edits.
-    reduced = Word._from_checked(current.remaining(), current.graph, canonical=True)
-    return reduced, normalize(Word._from_checked(tuple(factors), current.graph))
+    reduced = Word._from_checked(tuple([syllables[p] for p in order]), graph, canonical=True)
+    return reduced, normalize(Word._from_checked(tuple(factors), graph))
 
 
 def is_cyclically_reduced(word: Word) -> bool:
-    return _find_reduction(_LiveHeap(normalize(word))) is None
+    w = normalize(word)
+    return _find_reduction(w.syllables, heap_masks(w), range(len(w)), (1 << len(w)) - 1) is None

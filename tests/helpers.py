@@ -16,8 +16,8 @@ conjugate instead of reading the merge off the heap.
 ``verify_power_properties`` as they read normal forms of the powers,
 shift maps and pair sets, before they read the heap of each power's
 concatenation.  ``reference_covering_pairs`` keeps the Hasse edges as
-they were read off every pair of masks, before they came from the last
-syllable of each generator; ``reference_order_embedding`` keeps the pair
+they were read off every pair of masks, before each mask was peeled
+from the top; ``reference_order_embedding`` keeps the pair
 loops of ``check_order_embedding``, to be fed the same heap, corrupted
 or not.  ``reference_in_special_subgroup`` and ``reference_equivalent``
 keep the subgroup and star-coset tests as they read the normal form of

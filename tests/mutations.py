@@ -78,8 +78,8 @@ MUTATIONS = [
     Mutation(
         "reorder-trigger",
         "syllables.py",
-        "            if not moved_first:\n                current.reorder()",
-        "            if moved_first:\n                current.reorder()",
+        "            if not moved_first:\n                order = linear_extensions(",
+        "            if moved_first:\n                order = linear_extensions(",
         (
             "tests/test_cyclic_reduction.py::test_cancelled_minimal_partner_changes_the_normal_form",
             "tests/test_cyclic_reduction.py::test_renormalizing_family_builds_one_heap",
@@ -103,30 +103,45 @@ MUTATIONS = [
     Mutation(
         "shift-map-reorder",
         "syllables.py",
-        "    base.reorder()\n",
-        "",
+        "_ids_of_sequence([base.syllables[p] for p in order])",
+        "_ids_of_sequence(base.syllables)",
         ("tests/test_syllables.py::test_shift_map_keys_follow_the_canonical_order_of_the_power",),
     ),
-    # The syllable order.
+    # The syllable order: the covers of j peeled off below[j] from the top.
+    # A peel that clears only the cover's own bit records every syllable
+    # below j; one that does not clear the cover's bit never ends.
     Mutation(
         "hasse-covers",
         "syllables.py",
-        "if mask >> p & 1 and not through >> p & 1:",
-        "if mask >> p & 1:",
-        ("tests/test_syllables.py::test_order_hasse_covers",),
+        "mask &= ~(below[p] | 1 << p)",
+        "mask &= ~(1 << p)",
+        (
+            "tests/test_syllables.py::test_order_hasse_covers",
+            "tests/test_small_graphs.py::test_covering_pairs_match_probing_every_middle_syllable",
+        ),
+    ),
+    Mutation(
+        "hasse-highest-position",
+        "syllables.py",
+        "p = mask.bit_length() - 1",
+        "p = (mask & -mask).bit_length() - 1",
+        (
+            "tests/test_syllables.py::test_order_hasse_covers",
+            "tests/test_syllables.py::test_covering_pairs_match_the_mask_reference_on_long_words",
+        ),
     ),
     Mutation(
         "hasse-through",
         "syllables.py",
-        "through |= below[p]",
-        "through = below[p]",
+        "mask &= ~(below[p] | 1 << p)",
+        "mask &= ~(below[j] | 1 << p)",
         ("tests/test_syllables.py::test_covering_pairs_match_the_mask_reference_on_long_words",),
     ),
     Mutation(
-        "hasse-last-position",
+        "hasse-upper-order",
         "syllables.py",
-        "last[s.generator] = j",
-        "last.setdefault(s.generator, j)",
+        "uppers[p].append(j)",
+        "uppers[p].insert(0, j)",
         (
             "tests/test_syllables.py::test_covering_pairs_match_the_mask_reference_on_long_words",
             "tests/test_syllables.py::test_covering_pairs_match_the_mask_reference_on_interleavings",
@@ -252,6 +267,25 @@ MUTATIONS = [
         (
             "tests/test_realization.py::test_loaders_map_json_failures_alike[nan-graph]",
             "tests/test_cli_fuzz.py::test_cli_fixed_cases_numbers_outside_standard_json",
+        ),
+    ),
+    # Graph edges: a pair of hashable names in from_data, a frozenset of
+    # one or two vertices in validate.
+    Mutation(
+        "graph-edge-pair",
+        "defining_graph.py",
+        "frozenset(edge) if len(edge) == 2 else None",
+        "frozenset(edge) if len(edge) >= 2 else None",
+        ("tests/test_defining_graph.py::test_from_data_rejects_an_edge_that_is_not_two_hashable_names",),
+    ),
+    Mutation(
+        "graph-edge-shape",
+        "defining_graph.py",
+        "0 < len(e) < 3",
+        "0 < len(e)",
+        (
+            "tests/test_defining_graph.py::"
+            "test_validate_rejects_an_edge_that_is_not_a_frozenset_of_one_or_two_vertices",
         ),
     ),
     # The heap and the dependence relation behind it; a heap that ORs over

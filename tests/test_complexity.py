@@ -13,10 +13,12 @@ exponents ±1 and ±2.  Each input is built before the traced call, so a
 quadratic normal form does not hide inside a linear layer's count;
 ``power_shift_map`` gets the word's cyclic reduction, built the same way.
 
-``normalize`` and ``invert`` are still quadratic, and are guarded as
-such: on random words of 125 and 500 syllables over the same graph, each
-reads about ×13 (×16 in the limit), and a greedy pass made cubic read
-×52.  A guard fails above ×24.
+``normalize`` and ``invert`` are still quadratic, and so are
+``multiply``, ``power`` and ``equal_elements``, which compute the normal
+forms of words as long as their input.  They are guarded as such: on
+random words of 125 and 500 syllables in over the same graph, each reads
+about ×13 (×16 in the limit), and a greedy pass made cubic read ×52.  A
+guard fails above ×24.
 
 ``minimal_representatives`` is guarded per representative, on
 ``(x y)^n u`` in F2×F2 at n = 15 and 60: 31 and 121 syllables, and as
@@ -32,10 +34,10 @@ from functools import partial
 import pytest
 
 from raagmcg import (
-    DefiningGraph, check_order_embedding, cyclically_reduce, default_constants,
-    in_special_subgroup, invert, is_minimal, make_certificate, minimal_representatives,
-    normalize, parse_word, power_shift_map, syllable_order, syllable_subsurface_map,
-    word_from_pairs,
+    DefiningGraph, Word, check_order_embedding, cyclically_reduce, default_constants,
+    equal_elements, in_special_subgroup, invert, is_cyclically_reduced, is_minimal,
+    make_certificate, minimal_representatives, multiply, normalize, parse_word, power,
+    power_shift_map, syllable_ids, syllable_order, syllable_subsurface_map, word_from_pairs,
 )
 from raagmcg.words import heap_masks
 
@@ -102,6 +104,8 @@ LAYERS = {
     # Both words are cyclically reduced already: a round tries every
     # candidate, and none lowers the count.
     "cyclically_reduce": lambda word: partial(cyclically_reduce, word),
+    "is_cyclically_reduced": lambda word: partial(is_cyclically_reduced, word),
+    "syllable_ids": lambda word: partial(syllable_ids, word),
 }
 
 
@@ -117,11 +121,28 @@ def test_layer_is_linear_in_line_events(words, layer):
     assert large <= MAX_RATIO * small, (layer, small, large, large / small)
 
 
-@pytest.mark.parametrize("layer", [normalize, invert], ids=lambda f: f.__name__)
+def _halves(word):
+    k = len(word) // 2
+    return Word(word.syllables[:k], word.graph), Word(word.syllables[k:], word.graph)
+
+
+# Each quadratic layer maps a random word, not normalized, to a call that
+# normalizes it, its two halves multiplied, its first half squared, or
+# its two halves (two normal forms, to compare).
+QUADRATIC_LAYERS = {
+    "normalize": lambda word: partial(normalize, word),
+    "invert": lambda word: partial(invert, word),
+    "multiply": lambda word: partial(multiply, *_halves(word)),
+    "power": lambda word: partial(power, _halves(word)[0], 2),
+    "equal_elements": lambda word: partial(equal_elements, *_halves(word)),
+}
+
+
+@pytest.mark.parametrize("layer", QUADRATIC_LAYERS)
 def test_layer_is_quadratic_in_line_events(layer):
     graph = _graph()
     small, large = (
-        line_events(partial(layer, _random_word(graph, k))) for k in QUADRATIC_SIZES
+        line_events(QUADRATIC_LAYERS[layer](_random_word(graph, k))) for k in QUADRATIC_SIZES
     )
     assert large <= MAX_QUADRATIC_RATIO * small, (small, large, large / small)
 

@@ -21,6 +21,7 @@ from raagmcg import (
     is_cyclically_reduced,
     normalize,
     parse_word,
+    power_shift_map,
 )
 from conftest import random_graph, random_word
 from helpers import trial_cyclic_reduction, trial_is_cyclically_reduced
@@ -35,14 +36,14 @@ def rounds(monkeypatch):
     )
     counts = {"rounds": 0, "renormalizing": 0, "normal forms": 0, "heaps": 0}
 
-    def reduction_round(live):
-        move = find_reduction(live)
+    def reduction_round(syllables_, below, order, live):
+        move = find_reduction(syllables_, below, order, live)
         if move is not None:
             moved, target = move
             counts["rounds"] += 1
             counts["renormalizing"] += (
-                moved != live.order[0]
-                and live.syllables[moved].exponent + live.syllables[target].exponent == 0
+                moved != order[0]
+                and syllables_[moved].exponent + syllables_[target].exponent == 0
             )
         return move
 
@@ -152,18 +153,22 @@ def test_long_conjugate_costs_normal_forms_only_for_cancelled_minimal_partners(
 
 @pytest.fixture()
 def reorders(monkeypatch):
-    """Check every reordering round against ``normalize``: the live
-    syllables, put back in order off the masks, must be the normal form
-    of the word they spelled before.  Returns the count of rounds."""
-    reorder, checked = syllables._LiveHeap.reorder, []
+    """Check every order that ``syllables`` reads off heap masks against
+    ``normalize``: the first linear extension of the syllables at the
+    given positions must spell the normal form of the word they spelled
+    before.  That covers each reordering round of cyclic reduction and
+    the canonical order of a power in ``power_shift_map``.  Returns the
+    words checked."""
+    extensions, checked = syllables.linear_extensions, []
 
-    def checked_reorder(live):
-        before = Word(live.remaining(), live.graph)
-        reorder(live)
-        assert live.remaining() == normalize(before).syllables, before
+    def checked_extensions(syllables_, positions, below, graph, limit):
+        before = Word(tuple([syllables_[p] for p in positions]), graph)
+        orders = extensions(syllables_, positions, below, graph, limit)
+        assert tuple([syllables_[p] for p in orders[0]]) == normalize(before).syllables, before
         checked.append(before)
+        return orders
 
-    monkeypatch.setattr(syllables._LiveHeap, "reorder", checked_reorder)
+    monkeypatch.setattr(syllables, "linear_extensions", checked_extensions)
     return checked
 
 
@@ -210,3 +215,16 @@ def test_renormalizing_family_builds_one_heap(rounds, pentagon):
 def test_long_renormalizing_family_normalizes_twice(rounds, pentagon):
     cyclically_reduce(renormalizing_family(random.Random(7), pentagon, 200))
     assert rounds["renormalizing"] >= 200 and rounds["normal forms"] == 2
+
+
+def test_shift_map_orders_match_normalize(reorders, pentagon):
+    # power_shift_map reads the canonical order of w^m off the heap of the
+    # concatenation of m copies of w, which need not be canonical: with
+    # only a and c commuting, w = a b c is canonical but w^2 is a b a c b c.
+    graph = DefiningGraph.from_data("abc", ["ac"])
+    words = [parse_word("a b c", graph), parse_word("a c e b d", pentagon)]
+    for word in words:
+        for m, n in ((1, 2), (2, 3), (3, 5)):
+            power_shift_map(word, m, n)
+    assert [str(w) for w in reorders[:3]] == ["a b c", "a b c a b c", "a b c a b c a b c"]
+    assert len(reorders) == 6

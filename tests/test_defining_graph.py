@@ -35,6 +35,46 @@ def test_dangling_edge_rejected():
     assert err.value.details["label"] == "c"
 
 
+@pytest.mark.parametrize("edge", [
+    ["a", ["b"]],  # an unhashable name
+    ["a", "b", "a"],  # three names, two of them vertices
+    "abc",
+    ["a"],
+    5,  # no length
+])
+def test_from_data_rejects_an_edge_that_is_not_two_hashable_names(edge):
+    with pytest.raises(MalformedGraph) as err:
+        DefiningGraph.from_data(["a", "b"], [("a", "b"), edge])
+    assert err.value.details == {"key": "edges", "edge": edge}
+
+
+@pytest.mark.parametrize("edge", [
+    frozenset("abc"),  # normalize would unpack it as a pair
+    ("a", "b"),  # has_edge would not find it, while commutation_matrix would
+    frozenset(),
+    "ab",
+])
+def test_validate_rejects_an_edge_that_is_not_a_frozenset_of_one_or_two_vertices(edge):
+    with pytest.raises(MalformedGraph) as err:
+        DefiningGraph(("a", "b", "c"), frozenset({frozenset("bc"), edge}))
+    assert err.value.details == {"key": "edges", "edge": edge}
+
+
+def test_edges_of_two_letters_and_one_element_edges_keep_their_meaning():
+    assert DefiningGraph.from_data("ab", ["ab"]).commute("a", "b")
+    with pytest.raises(SelfLoop):
+        DefiningGraph(("a",), frozenset({frozenset("a")}))
+    with pytest.raises(SelfLoop):
+        DefiningGraph.from_data(["a"], ["aa"])
+
+
+def test_the_least_malformed_edge_by_repr_is_reported():
+    with pytest.raises(MalformedGraph) as err:
+        DefiningGraph(("a", "b", "c"), frozenset({("b", "c"), ("a", "c"), ("a", "b", "c")}))
+    assert err.value.details["edge"] == ("a", "b", "c")
+    assert err.value.message == "graph edge ('a', 'b', 'c') is not a frozenset of one or two vertices"
+
+
 # Prints the message of each bad graph, built in a fresh interpreter.
 BAD_GRAPHS_CHILD = """
 import json
